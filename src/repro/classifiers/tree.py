@@ -1,9 +1,13 @@
 """CART decision tree (Breiman et al., 1984) with Gini impurity.
 
 This is the workhorse classifier of the paper's evaluation (Tables II–IV and
-Figs. 9–11 all use DT), so the split search is fully vectorised: at each
-node every candidate feature is argsorted once and all candidate thresholds
-are scored simultaneously through one-hot label cumsums.  Defaults mirror
+Figs. 9–11 all use DT), so the split search is vectorised and sorts once:
+``fit`` argsorts every feature at the root, and each split hands its
+children stable partitions of the parent's per-feature sorted rows.  Every
+boundary is scored from exact int64 class counts rather than float one-hot
+cumsums, and the trees are bit-identical to the per-node argsort, one-hot
+formulation that ``tests/classifiers/reference_tree.py`` keeps as the oracle
+of ``tests/property/test_tree_properties.py``.  Defaults mirror
 scikit-learn's ``DecisionTreeClassifier`` (unbounded depth, Gini, two-sample
 minimum split).
 
@@ -68,54 +72,51 @@ class DecisionTreeClassifier(BaseClassifier):
         encoded = self._encode_labels(y)
         n, p = x.shape
         k = self.classes_.size
-        onehot = np.zeros((n, k), dtype=np.float64)
-        onehot[np.arange(n), encoded] = 1.0
+        xt = np.ascontiguousarray(x.T)
         self._rng = np.random.default_rng(self.random_state)
         self._n_subset_features = self._resolve_max_features(p)
 
-        # Growable flat node arrays.
-        self._feature: list[int] = []
-        self._threshold: list[float] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._value: list[np.ndarray] = []
-
+        # Per node, in creation order: [feature, threshold, left, right, counts].
+        nodes: list[list] = []
+        # A node is its rows along every feature in ascending value order,
+        # (p, m), and its class counts; stable partitions keep children sorted.
+        order = np.argsort(xt, axis=1, kind="stable")
+        go_left = np.empty(n, dtype=bool)  # split side, by row id
         max_depth = np.inf if self.max_depth is None else self.max_depth
-        stack = [(np.arange(n, dtype=np.intp), 0, _LEAF, False)]
+        stack = [(order, np.bincount(encoded, minlength=k), 0, _LEAF, False)]
         while stack:
-            idx, depth, parent, is_right = stack.pop()
-            node_id = self._new_node(onehot[idx].sum(axis=0))
+            order, counts, depth, parent, is_right = stack.pop()
             if parent != _LEAF:
-                if is_right:
-                    self._right[parent] = node_id
-                else:
-                    self._left[parent] = node_id
+                nodes[parent][3 if is_right else 2] = len(nodes)
+            node = [_LEAF, np.nan, _LEAF, _LEAF, counts]
+            nodes.append(node)
 
-            counts = self._value[node_id]
             pure = np.count_nonzero(counts) <= 1
-            if (
-                pure
-                or depth >= max_depth
-                or idx.size < self.min_samples_split
-            ):
+            if pure or depth >= max_depth or order.shape[1] < self.min_samples_split:
                 continue
-            split = self._best_split(x, onehot, idx)
+            split = self._presorted_split(xt, encoded, order, counts)
             if split is None:
                 continue
             feat, thr = split
-            self._feature[node_id] = feat
-            self._threshold[node_id] = thr
-            go_left = x[idx, feat] <= thr
-            stack.append((idx[~go_left], depth + 1, node_id, True))
-            stack.append((idx[go_left], depth + 1, node_id, False))
+            node[:2] = split
+            rows = order[feat]
+            to_left = xt[feat, rows] <= thr
+            go_left[rows] = to_left
+            side = go_left[order].ravel()
+            left_counts = np.bincount(encoded[rows[to_left]], minlength=k)
+            node_id = len(nodes) - 1
+            stack.append((order.compress(~side).reshape(p, -1),
+                          counts - left_counts, depth + 1, node_id, True))
+            stack.append((order.compress(side).reshape(p, -1),
+                          left_counts, depth + 1, node_id, False))
 
-        self.feature_ = np.asarray(self._feature, dtype=np.intp)
-        self.threshold_ = np.asarray(self._threshold, dtype=np.float64)
-        self.children_left_ = np.asarray(self._left, dtype=np.intp)
-        self.children_right_ = np.asarray(self._right, dtype=np.intp)
-        self.value_ = np.vstack(self._value)
+        feature, threshold, left, right, value = zip(*nodes)
+        self.feature_ = np.asarray(feature, dtype=np.intp)
+        self.threshold_ = np.asarray(threshold, dtype=np.float64)
+        self.children_left_ = np.asarray(left, dtype=np.intp)
+        self.children_right_ = np.asarray(right, dtype=np.intp)
+        self.value_ = np.vstack(value).astype(np.float64)
         self.n_nodes_ = self.feature_.size
-        del self._feature, self._threshold, self._left, self._right, self._value
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -183,69 +184,67 @@ class DecisionTreeClassifier(BaseClassifier):
             return int(spec)
         raise ValueError(f"unsupported max_features spec: {spec!r}")
 
-    def _new_node(self, counts: np.ndarray) -> int:
-        self._feature.append(_LEAF)
-        self._threshold.append(np.nan)
-        self._left.append(_LEAF)
-        self._right.append(_LEAF)
-        self._value.append(counts)
-        return len(self._feature) - 1
-
-    def _best_split(
-        self, x: np.ndarray, onehot: np.ndarray, idx: np.ndarray
+    def _presorted_split(
+        self, xt: np.ndarray, encoded: np.ndarray, order: np.ndarray,
+        counts: np.ndarray,
     ) -> tuple[int, float] | None:
         """Best (feature, threshold) by weighted Gini decrease, or None.
 
-        All features in the (possibly subsampled) candidate set are scored
-        at once: labels are sorted along each feature, left-side class
-        counts come from a single cumsum, and the split objective
+        ``order`` (p, m) is the node's rows along each feature by ascending
+        value and ``counts`` its class totals t.  The q-th row of class c
+        (in feature order) turns ``l_c² = (q - 1)²`` into ``q²`` as it joins
+        the left side, so ``Σ l²`` is a prefix sum of ``2q - 1`` and ``Σ r² =
+        Σ t² - 2·Σ t_c·l_c + Σ l²``, all exact int64.  The split objective
         ``n_l·gini_l + n_r·gini_r = n - Σ l²/n_l - Σ r²/n_r`` is minimised
         over every valid boundary between distinct values.
         """
-        n_node = idx.size
-        p = x.shape[1]
+        p, m = order.shape
         if self._n_subset_features < p:
             feats = self._rng.choice(p, size=self._n_subset_features, replace=False)
+            order = order[feats]
         else:
             feats = np.arange(p)
+        f = feats.size
+        # Flat indices into the C-contiguous (p, n) feature-major matrix.
+        sorted_vals = xt.take(order + xt.shape[1] * feats[:, None])  # (f, m)
 
-        sub_x = x[np.ix_(idx, feats)]                    # (n, f)
-        order = np.argsort(sub_x, axis=0, kind="stable")  # (n, f)
-        sorted_vals = np.take_along_axis(sub_x, order, axis=0)
-        sorted_onehot = onehot[idx][order]                # (n, f, K)
-
-        left_counts = np.cumsum(sorted_onehot, axis=0)    # (n, f, K)
-        total = left_counts[-1]                           # (f, K)
-
-        boundaries = left_counts[:-1]                     # split after row i
-        n_left = np.arange(1, n_node, dtype=np.float64)[:, None]
-        n_right = n_node - n_left
-        sum_l2 = np.einsum("ifk,ifk->if", boundaries, boundaries)
-        right_counts = total[None, :, :] - boundaries
-        sum_r2 = np.einsum("ifk,ifk->if", right_counts, right_counts)
-        # Weighted impurity up to the constant n_node; lower is better.
-        objective = -sum_l2 / n_left - sum_r2 / n_right
-
-        distinct = sorted_vals[1:] > sorted_vals[:-1]
+        # Boundary i splits after row i: i + 1 rows go left, m - i - 1 right.
         msl = self.min_samples_leaf
-        if msl > 1:
-            pos_ok = (n_left >= msl) & (n_right >= msl)
-            valid = distinct & pos_ok
-        else:
-            valid = distinct
+        valid = sorted_vals[:, 1:] > sorted_vals[:, :-1]  # (f, m - 1)
+        valid[:, : msl - 1] = False
+        valid[:, m - msl :] = False
         if not valid.any():
             return None
+
+        classes = encoded[order]                          # (f, m)
+        # A stable sort by class (radix, on the narrow dtype) lists each
+        # class's rows in feature order: entry j is the q-th of its class,
+        # q = j + 1 - (start of the class).
+        narrow = classes.astype(np.min_scalar_type(counts.size - 1))
+        by_class = narrow.argsort(axis=1, kind="stable")
+        q = np.arange(1, m + 1) - np.repeat(counts.cumsum() - counts, counts)
+        l2_step = np.empty(f * m, dtype=np.intp)
+        l2_step[by_class + m * np.arange(f)[:, None]] = 2 * q - 1
+        sum_l2 = l2_step.reshape(f, m).cumsum(axis=1)[:, :-1]
+        cross = counts[classes].cumsum(axis=1)[:, :-1]    # Σ t_c·l_c
+        sum_r2 = counts @ counts - 2 * cross + sum_l2
+        n_left = np.arange(1, m, dtype=np.float64)
+        n_right = m - n_left
+        # Weighted impurity up to the constant m; lower is better.  The sums
+        # (< m² < 2**53) convert to float64 exactly, as one-hot counts did.
+        objective = -sum_l2 / n_left - sum_r2 / n_right
 
         # Like scikit-learn, any impure node with a valid boundary is split,
         # even at zero Gini gain (required for XOR-like structure where the
         # first cut alone does not reduce impurity).
-        objective = np.where(valid, objective, np.inf)
-        flat_best = np.argmin(objective)
-        row, col = np.unravel_index(flat_best, objective.shape)
+        objective[~valid] = np.inf
+        # Row-major (boundary, candidate): lowest boundary, then candidate.
+        row, col = divmod(int(np.argmin(objective.T)), f)
 
-        thr = 0.5 * (sorted_vals[row, col] + sorted_vals[row + 1, col])
+        lo, hi = sorted_vals[col, row], sorted_vals[col, row + 1]
+        thr = 0.5 * (lo + hi)
         # Midpoints can round onto the upper value; keep the comparison
         # consistent with `<= thr` partitioning.
-        if thr >= sorted_vals[row + 1, col]:
-            thr = sorted_vals[row, col]
+        if thr >= hi:
+            thr = lo
         return int(feats[col]), float(thr)

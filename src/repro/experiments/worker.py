@@ -230,10 +230,10 @@ def worker_loop(
                 if units is None:
                     outage_since = None  # the manifest listing answered
                 if not plan:
-                    if units is not None or seen_plan:
-                        # Explicitly told there is nothing to do — or the
-                        # plan we were working from was pruned, which only
-                        # happens once its grid completed.
+                    if units is not None or seen_plan or dispatch.grid_completed(store):
+                        # Explicitly told there is nothing to do — or a plan
+                        # was pruned, which only happens once its grid
+                        # completed (for a late joiner, before it looked).
                         break
                     # No manifests yet: workers legitimately start before
                     # their coordinator writes the plan (the multi-node

@@ -145,6 +145,19 @@ class TestWorkerLoop:
         assert stats["computed"] == 0
         assert not stats["idle_timeout"]
 
+    def test_late_joiner_after_pruned_grid_exits_at_once(self, tmp_path):
+        """A worker that first looks after its grid completed and was
+        pruned (a fleet's late joiner) exits 0 at once, not after max_idle."""
+        from repro.experiments import dispatch
+        from tests.property.test_distributed_parity import TINY
+
+        units = dispatch.plan_grid(TINY, ["table2"])[:2]
+        dispatch.write_manifest(tmp_path, TINY, units)
+        assert worker.worker_loop(tmp_path, jobs=1, max_idle=60.0)["computed"] == 2
+        start = time.monotonic()
+        assert worker.main(["--store", str(tmp_path), "--max-idle", "60"]) == 0
+        assert time.monotonic() - start < 2.0
+
     def test_process_store_restored_after_loop(self, tmp_path):
         before = get_store()
         worker.worker_loop(tmp_path, jobs=1, poll=0.02, max_idle=0.1)

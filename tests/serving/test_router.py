@@ -629,13 +629,16 @@ class TestMultiModelCli:
                     assert await client.predict(probe) == expected_v1
 
                     # SIGHUP reloads every model: republish alpha as v2
-                    # first so the fan-out has something to swap.
+                    # first so the fan-out has something to swap.  The
+                    # fan-out swaps one model at a time, so wait for both.
                     clf_v2.freeze(path_a)
                     proc.send_signal(signal.SIGHUP)
                     deadline = time.monotonic() + 15
                     while time.monotonic() < deadline:
                         health = await client.healthz()
-                        if health["models"]["alpha"]["generation"] == 2:
+                        generations = [health["models"][name]["generation"]
+                                       for name in ("alpha", "beta")]
+                        if generations == [2, 3]:
                             break
                         await asyncio.sleep(0.05)
                     assert health["models"]["alpha"]["generation"] == 2
