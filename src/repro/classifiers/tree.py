@@ -3,13 +3,17 @@
 This is the workhorse classifier of the paper's evaluation (Tables II–IV and
 Figs. 9–11 all use DT), so the split search is vectorised and sorts once:
 ``fit`` argsorts every feature at the root, and each split hands its
-children stable partitions of the parent's per-feature sorted rows.  Every
-boundary is scored from exact int64 class counts rather than float one-hot
-cumsums, and the trees are bit-identical to the per-node argsort, one-hot
-formulation that ``tests/classifiers/reference_tree.py`` keeps as the oracle
-of ``tests/property/test_tree_properties.py``.  Defaults mirror
-scikit-learn's ``DecisionTreeClassifier`` (unbounded depth, Gini, two-sample
-minimum split).
+children stable partitions of the parent's per-feature sorted rows.  A tree
+drawing a random feature subset per node (``max_features``, the random
+forest) instead sorts each node's rows along just the drawn features, which
+costs less than partitioning all p.  Tie order never matters: only
+boundaries between distinct values are scored.  Every boundary is scored
+from exact int64 class counts rather than float one-hot cumsums, and the
+trees are bit-identical to the per-node argsort, one-hot formulation that
+``tests/classifiers/reference_tree.py`` keeps as the oracle of
+``tests/property/test_tree_properties.py``.  Defaults mirror scikit-learn's
+``DecisionTreeClassifier`` (unbounded depth, Gini, two-sample minimum
+split).
 
 The fitted tree is stored as flat arrays (``feature``, ``threshold``,
 ``children_left``, ``children_right``, ``value``) so prediction is a
@@ -78,9 +82,13 @@ class DecisionTreeClassifier(BaseClassifier):
 
         # Per node, in creation order: [feature, threshold, left, right, counts].
         nodes: list[list] = []
-        # A node is its rows along every feature in ascending value order,
-        # (p, m), and its class counts; stable partitions keep children sorted.
-        order = np.argsort(xt, axis=1, kind="stable")
+        # A node is its rows, (g, m), and its class counts.  Without feature
+        # subsets row j lists them by ascending feature j (g = p), and stable
+        # partitions keep children sorted; with them g = 1, in any order.
+        if self._n_subset_features < p:
+            order = np.arange(n)[None]
+        else:
+            order = np.argsort(xt, axis=1)
         go_left = np.empty(n, dtype=bool)  # split side, by row id
         max_depth = np.inf if self.max_depth is None else self.max_depth
         stack = [(order, np.bincount(encoded, minlength=k), 0, _LEAF, False)]
@@ -94,20 +102,20 @@ class DecisionTreeClassifier(BaseClassifier):
             pure = np.count_nonzero(counts) <= 1
             if pure or depth >= max_depth or order.shape[1] < self.min_samples_split:
                 continue
-            split = self._presorted_split(xt, encoded, order, counts)
+            split = self._count_split(xt, encoded, order, counts)
             if split is None:
                 continue
             feat, thr = split
             node[:2] = split
-            rows = order[feat]
+            rows = order[0]
             to_left = xt[feat, rows] <= thr
             go_left[rows] = to_left
             side = go_left[order].ravel()
             left_counts = np.bincount(encoded[rows[to_left]], minlength=k)
             node_id = len(nodes) - 1
-            stack.append((order.compress(~side).reshape(p, -1),
+            stack.append((order.compress(~side).reshape(len(order), -1),
                           counts - left_counts, depth + 1, node_id, True))
-            stack.append((order.compress(side).reshape(p, -1),
+            stack.append((order.compress(side).reshape(len(order), -1),
                           left_counts, depth + 1, node_id, False))
 
         feature, threshold, left, right, value = zip(*nodes)
@@ -184,29 +192,32 @@ class DecisionTreeClassifier(BaseClassifier):
             return int(spec)
         raise ValueError(f"unsupported max_features spec: {spec!r}")
 
-    def _presorted_split(
+    def _count_split(
         self, xt: np.ndarray, encoded: np.ndarray, order: np.ndarray,
         counts: np.ndarray,
     ) -> tuple[int, float] | None:
         """Best (feature, threshold) by weighted Gini decrease, or None.
 
-        ``order`` (p, m) is the node's rows along each feature by ascending
-        value and ``counts`` its class totals t.  The q-th row of class c
+        ``order`` (g, m) is the node's rows (see ``fit``) and ``counts`` its
+        class totals t.  Along each candidate feature the q-th row of class c
         (in feature order) turns ``l_c² = (q - 1)²`` into ``q²`` as it joins
         the left side, so ``Σ l²`` is a prefix sum of ``2q - 1`` and ``Σ r² =
         Σ t² - 2·Σ t_c·l_c + Σ l²``, all exact int64.  The split objective
-        ``n_l·gini_l + n_r·gini_r = n - Σ l²/n_l - Σ r²/n_r`` is minimised
+        ``n_l·gini_l + n_r·gini_r = m - Σ l²/n_l - Σ r²/n_r`` is minimised
         over every valid boundary between distinct values.
         """
-        p, m = order.shape
+        p, n = xt.shape
+        m = order.shape[1]
+        # Flat indices into the C-contiguous (p, n) feature-major matrix.
         if self._n_subset_features < p:
             feats = self._rng.choice(p, size=self._n_subset_features, replace=False)
-            order = order[feats]
+            # A forest tree's node rows come in any order (see ``fit``):
+            # sort them along just the drawn features.
+            order = order[0][xt.take(order + n * feats[:, None]).argsort(axis=1)]
         else:
             feats = np.arange(p)
         f = feats.size
-        # Flat indices into the C-contiguous (p, n) feature-major matrix.
-        sorted_vals = xt.take(order + xt.shape[1] * feats[:, None])  # (f, m)
+        sorted_vals = xt.take(order + n * feats[:, None])  # (f, m)
 
         # Boundary i splits after row i: i + 1 rows go left, m - i - 1 right.
         msl = self.min_samples_leaf

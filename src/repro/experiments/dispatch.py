@@ -73,7 +73,6 @@ __all__ = [
     "write_manifest",
     "load_manifests",
     "prune_manifests",
-    "grid_completed",
     "pending_units",
     "wait_for_grid",
     "worker_command",
@@ -83,8 +82,6 @@ __all__ = [
 
 #: Manifest files live next to the results they describe.
 MANIFEST_SUFFIX = ".plan"
-#: What :func:`prune_manifests` leaves in place of a completed manifest.
-DONE_SUFFIX = ".done"
 
 
 @dataclass(frozen=True)
@@ -232,7 +229,7 @@ def write_manifest(
 _MANIFEST_CACHE: dict[tuple[str, str], tuple[float, list[WorkUnit]]] = {}
 
 
-def _manifest_names(backend: StoreBackend, suffix: str = MANIFEST_SUFFIX) -> list[str]:
+def _manifest_names(backend: StoreBackend) -> list[str]:
     # Prefix-filtered and paginated: workers poll this every round, and
     # object stores list server-side in bounded pages — never scan the
     # whole store (or hold an unbounded listing) for a few manifests.
@@ -240,7 +237,7 @@ def _manifest_names(backend: StoreBackend, suffix: str = MANIFEST_SUFFIX) -> lis
     token = None
     while True:
         page, token = backend.list_page(prefix="plan-", token=token)
-        names.extend(n for n in page if n.endswith(suffix))
+        names.extend(n for n in page if n.endswith(MANIFEST_SUFFIX))
         if token is None:
             return names
 
@@ -309,10 +306,8 @@ def prune_manifests(store: CellStore) -> int:
     and workers would adopt all of them as their exit condition
     (recomputing stale grids nobody asked about).  Workers and
     coordinators prune on completion; a worker that later observes its
-    previously-seen plan gone treats the grid as finished, and one that
-    first looks later finds the empty ``.done`` tombstone left in its place
-    (:func:`grid_completed`).  Manifests are the only entries this function
-    may delete — results are immutable.
+    previously-seen plan gone treats the grid as finished.  Manifests are
+    the only entries this function may delete — results are immutable.
     """
     backend = store.backend
     if backend is None:
@@ -323,17 +318,10 @@ def prune_manifests(store: CellStore) -> int:
         if parsed is None:
             continue  # load_manifests owns corrupt-entry healing
         if all(store.has("cell", unit.key) for unit in parsed):
-            backend.put_atomic(name[: -len(MANIFEST_SUFFIX)] + DONE_SUFFIX, b"")
             backend.delete(name)
             _MANIFEST_CACHE.pop((backend.url, name), None)
             pruned += 1
     return pruned
-
-
-def grid_completed(store_target) -> bool:
-    """Whether a grid in this store completed and had its manifest pruned."""
-    backend = _backend_of(store_target)
-    return backend is not None and bool(_manifest_names(backend, DONE_SUFFIX))
 
 
 # ----------------------------------------------------------------------

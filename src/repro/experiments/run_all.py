@@ -142,7 +142,9 @@ def _coordinate(args, cfg, selected: list[str]) -> None:
     def log(message: str) -> None:
         print(f"[distributed] {message}", flush=True)
 
-    extra_args = ["--outage-grace", str(args.outage_grace)]
+    # The manifest exists before any worker starts, so one that finds none
+    # (it started after its peers finished the grid) exits 0, not idles.
+    extra_args = ["--outage-grace", str(args.outage_grace), "--plan-written"]
     if args.store_codec:
         extra_args += ["--store-codec", args.store_codec]
 

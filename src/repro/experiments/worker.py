@@ -19,7 +19,9 @@ stack (``--jobs`` fans the cell's folds over a local process pool),
 flush the result, release the claim.  It exits when every manifest cell
 has a result.  A worker started *before* its coordinator (the natural
 multi-node order) waits up to ``--max-idle`` seconds for a manifest to
-appear, then exits with status 3 if none ever did.
+appear, then exits with status 3 if none ever did.  A spawner that wrote
+the manifest first passes ``--plan-written``: finding no manifest then
+means the grid already finished and was pruned, so the worker exits 0.
 
 Fault model (the invariants the fault-injection suite pins down):
 
@@ -148,6 +150,7 @@ def worker_loop(
     claim_order=None,
     max_idle: float = 300.0,
     outage_grace: float = DEFAULT_OUTAGE_GRACE,
+    plan_written: bool = False,
     units=None,
     log=None,
     codec: str | None = None,
@@ -161,6 +164,8 @@ def worker_loop(
     backend's retry/breaker counters under ``store_resilience``, and
     ``idle_timeout`` when the loop gave up waiting on peers that stopped
     making progress for ``max_idle`` seconds).
+    ``plan_written`` says the manifest predates this worker, so finding
+    none means its grid finished and was pruned, not that it is unplanned.
     ``units`` overrides manifest discovery (tests inject a plan directly);
     ``claim_order`` is the interleaving seam (see :func:`claim_order_from`).
 
@@ -222,7 +227,7 @@ def worker_loop(
     try:
         last_progress = time.monotonic()
         previous_pending = None
-        seen_plan = False
+        seen_plan = plan_written
         outage_since = None
         while True:
             try:
@@ -230,10 +235,10 @@ def worker_loop(
                 if units is None:
                     outage_since = None  # the manifest listing answered
                 if not plan:
-                    if units is not None or seen_plan or dispatch.grid_completed(store):
-                        # Explicitly told there is nothing to do — or a plan
-                        # was pruned, which only happens once its grid
-                        # completed (for a late joiner, before it looked).
+                    if units is not None or seen_plan:
+                        # Explicitly told there is nothing to do — or the
+                        # plan we worked from (or were spawned for) was
+                        # pruned, which only happens once its grid completed.
                         break
                     # No manifests yet: workers legitimately start before
                     # their coordinator writes the plan (the multi-node
@@ -381,6 +386,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="payload compression codec (zlib | lzma | "
                              "none); every worker of a fleet must agree "
                              "for byte-identical convergence")
+    parser.add_argument("--plan-written", action="store_true",
+                        help="the manifest predates this worker: finding "
+                             "none means its grid finished (exit 0)")
     args = parser.parse_args(argv)
 
     def log(message: str) -> None:
@@ -399,6 +407,7 @@ def main(argv: list[str] | None = None) -> int:
             claim_order=claim_order_from(args.claim_order),
             max_idle=args.max_idle,
             outage_grace=args.outage_grace,
+            plan_written=args.plan_written,
             log=log,
             codec=args.store_codec,
         )

@@ -1,7 +1,8 @@
 """Reference CART split search: the per-node argsort + one-hot cumsum tree.
 
-``DecisionTreeClassifier`` presorts every feature once and scores
-boundaries from integer class counts.  This subclass keeps the original
+``DecisionTreeClassifier`` presorts every feature once (a forest's tree
+sorts just its drawn features per node) and scores boundaries from integer
+class counts.  This subclass keeps the original
 per-node formulation (argsort each candidate feature at every node, score
 every boundary through float one-hot cumsums and two einsums) so property
 tests can require the two to grow bit-identical trees.  Only ``fit`` and the

@@ -145,9 +145,10 @@ class TestWorkerLoop:
         assert stats["computed"] == 0
         assert not stats["idle_timeout"]
 
-    def test_late_joiner_after_pruned_grid_exits_at_once(self, tmp_path):
-        """A worker that first looks after its grid completed and was
-        pruned (a fleet's late joiner) exits 0 at once, not after max_idle."""
+    def test_spawned_worker_after_pruned_grid_exits_at_once(self, tmp_path):
+        """A worker spawned after its manifest was written, but first
+        looking once its peers finished and pruned the grid (a fleet's
+        late joiner), exits 0 at once instead of idling out max_idle."""
         from repro.experiments import dispatch
         from tests.property.test_distributed_parity import TINY
 
@@ -155,8 +156,38 @@ class TestWorkerLoop:
         dispatch.write_manifest(tmp_path, TINY, units)
         assert worker.worker_loop(tmp_path, jobs=1, max_idle=60.0)["computed"] == 2
         start = time.monotonic()
-        assert worker.main(["--store", str(tmp_path), "--max-idle", "60"]) == 0
+        assert worker.main(
+            ["--store", str(tmp_path), "--max-idle", "60", "--plan-written"]
+        ) == 0
         assert time.monotonic() - start < 2.0
+
+    def test_prestarted_worker_waits_past_an_earlier_finished_grid(self, tmp_path):
+        """Pre-starting workers on a store that already finished a grid
+        (table2, then table4 into one store) must still wait for the next
+        coordinator's manifest rather than exit on the old grid."""
+        import threading
+
+        from repro.experiments import dispatch
+        from tests.property.test_distributed_parity import TINY
+
+        units = dispatch.plan_grid(TINY, ["table2"])
+        dispatch.write_manifest(tmp_path, TINY, units[:2])
+        assert worker.worker_loop(tmp_path, jobs=1, max_idle=60.0)["computed"] == 2
+
+        def next_plan():
+            time.sleep(0.3)
+            dispatch.write_manifest(tmp_path, TINY, units[2:4])
+
+        coordinator = threading.Thread(target=next_plan)
+        coordinator.start()
+        try:
+            stats = worker.worker_loop(
+                tmp_path, jobs=1, poll=0.05, max_idle=60.0
+            )
+        finally:
+            coordinator.join()
+        assert not stats["idle_timeout"]
+        assert stats["computed"] == 2
 
     def test_process_store_restored_after_loop(self, tmp_path):
         before = get_store()

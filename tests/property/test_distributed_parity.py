@@ -66,9 +66,11 @@ def test_worker_fleet_matches_serial(tmp_path, n_workers, backend):
     target = store_target(backend, tmp_path)
     dispatch.write_manifest(target, TINY, units)
     # Distinct claim orders maximise interleaving: workers start at
-    # different grid offsets and meet in the middle.
+    # different grid offsets and meet in the middle.  Like run_all's
+    # spawner, pass --plan-written: a worker still importing when its
+    # peers finish and prune the grid must exit 0, not idle out.
     fleet = [
-        spawn_worker(target, "--poll", "0.05",
+        spawn_worker(target, "--poll", "0.05", "--plan-written",
                      "--claim-order", f"rotate:{i * (len(units) // n_workers)}")
         for i in range(n_workers)
     ]

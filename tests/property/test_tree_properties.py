@@ -1,6 +1,7 @@
 """Property-based tests of the CART tree and samplers (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -44,7 +45,7 @@ def tie_heavy_datasets(draw):
     """Continuous, quantised and constant columns, duplicated rows with
     their own (possibly conflicting) labels, and 1–7 non-contiguous classes."""
     n = draw(st.integers(min_value=1, max_value=40))
-    p = draw(st.integers(min_value=1, max_value=5))
+    p = draw(st.integers(min_value=1, max_value=9))
     columns = []
     for kind in draw(st.lists(st.sampled_from(["continuous", "quantised", "constant"]),
                               min_size=p, max_size=p)):
@@ -82,10 +83,11 @@ def assert_same_tree(tree, reference):
     st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=200, deadline=None)
-def test_presorted_tree_matches_reference(data, min_samples_leaf, max_depth,
-                                          max_features, seed):
-    """The presorted integer-count split search grows the reference tree bit
-    for bit, including the seeded feature subsampling forests use."""
+def test_tree_matches_reference(data, min_samples_leaf, max_depth,
+                                max_features, seed):
+    """The integer-count split search grows the reference tree bit for bit,
+    presorted or, with the seeded feature subsets forests use, sorted per
+    node."""
     x, y = data
     params = dict(min_samples_leaf=min_samples_leaf, max_depth=max_depth,
                   max_features=max_features, random_state=seed)
@@ -93,14 +95,17 @@ def test_presorted_tree_matches_reference(data, min_samples_leaf, max_depth,
                      ReferenceDecisionTree(**params).fit(x, y))
 
 
-def test_presorted_tree_matches_reference_on_s8_fold():
+@pytest.mark.parametrize("max_features", [None, "sqrt"])
+def test_tree_matches_reference_on_s8_fold(max_features):
     """Grid-sized case: a 2/3 training fold of S8@0.4 (16 features, 7
-    classes, ~3.6k rows), fit with the defaults the paper's DT uses."""
+    classes, ~3.6k rows), fit with the defaults the paper's DT uses and
+    as one seeded random-forest tree."""
     x, y = load_dataset("S8", size_factor=0.4, random_state=0)
     train, _ = stratified_kfold_indices(y, n_splits=3, random_state=0)[0]
-    tree = DecisionTreeClassifier().fit(x[train], y[train])
+    params = dict(max_features=max_features, random_state=0)
+    tree = DecisionTreeClassifier(**params).fit(x[train], y[train])
     assert tree.n_nodes_ > 100
-    assert_same_tree(tree, ReferenceDecisionTree().fit(x[train], y[train]))
+    assert_same_tree(tree, ReferenceDecisionTree(**params).fit(x[train], y[train]))
 
 
 @given(distinct_row_datasets())
