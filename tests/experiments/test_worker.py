@@ -185,7 +185,8 @@ class TestWorkerLoop:
                 tmp_path, jobs=1, poll=0.05, max_idle=60.0
             )
         finally:
-            coordinator.join()
+            coordinator.join(timeout=30)
+        assert not coordinator.is_alive()
         assert not stats["idle_timeout"]
         assert stats["computed"] == 2
 
