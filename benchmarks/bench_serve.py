@@ -7,11 +7,11 @@ Measures the two promises of the freeze/serve split:
   artifact load is header-parse + mmap, so it should stay flat as models
   grow while pickle pays a full deserialising copy.
 * **Serve**: p50/p99/mean request latency and throughput over the real
-  asyncio HTTP server at 1/8/64 concurrent keep-alive clients, with the
-  micro-batcher on and off.  At high concurrency the batcher coalesces
-  the concurrent single-row requests into one vectorised kernel pass per
-  ~1 ms window; the benchmark gates on batched throughput at the highest
-  concurrency being at least the unbatched figure.
+  asyncio HTTP server at 1/8/64 concurrent keep-alive clients.  The
+  micro-batcher answers the single-row requests that arrive within one
+  event-loop turn with one vectorised kernel pass; the benchmark gates on
+  coalescing having happened (fewer kernel passes than requests) at the
+  highest concurrency.
 * **Wire formats** (``--binary``): the same serving matrix with JSON
   bodies vs binary frames (``application/x-gbaf-batch``) carrying
   multi-row requests — the ``wire_formats`` record in
@@ -122,7 +122,7 @@ def bench_load(clf, tmp_dir: Path, repeats: int = 20) -> dict:
 
 
 # ----------------------------------------------------------------------
-# serving matrix: latency/throughput × concurrency × batching
+# serving matrix: latency/throughput × concurrency
 # ----------------------------------------------------------------------
 
 
@@ -158,13 +158,9 @@ def _latency_record(per_client: list[list[float]], wall: float) -> dict:
     }
 
 
-async def _measure_async(predictor, queries: np.ndarray, *, concurrency: int,
-                         requests_per_client: int, batching: bool,
-                         batch_window: float, max_batch: int) -> dict:
-    server = PredictServer(
-        predictor, port=0, batching=batching,
-        batch_window=batch_window, max_batch=max_batch,
-    )
+async def _measure_async(router: ModelRouter, queries: np.ndarray, *,
+                         concurrency: int, requests_per_client: int) -> dict:
+    server = PredictServer(router, port=0)
     await server.start()
     try:
         # Every client sends single-row requests (the serving-fleet shape
@@ -182,31 +178,24 @@ async def _measure_async(predictor, queries: np.ndarray, *, concurrency: int,
         stats = server.stats()
     finally:
         await server.shutdown()
-    record = {
+    batch = stats["batch"]
+    return {
         "concurrency": concurrency,
-        "batching": batching,
         **_latency_record(per_client, wall),
-    }
-    if batching:
-        batch = stats["batch"]
-        record["batch"] = {
+        "batch": {
             "n_batches": batch["n_batches"],
             "mean_batch_rows": batch["mean_batch_rows"],
             "max_batch_rows": batch["max_batch_rows"],
-            "n_full_flushes": batch["n_full_flushes"],
-        }
-    return record
+        },
+    }
 
 
-def measure_serving(predictor, queries: np.ndarray, *, concurrency: int,
-                    requests_per_client: int, batching: bool,
-                    batch_window: float = 0.001,
-                    max_batch: int = 256) -> dict:
+def measure_serving(router: ModelRouter, queries: np.ndarray, *,
+                    concurrency: int, requests_per_client: int) -> dict:
     return asyncio.run(
         _measure_async(
-            predictor, queries, concurrency=concurrency,
-            requests_per_client=requests_per_client, batching=batching,
-            batch_window=batch_window, max_batch=max_batch,
+            router, queries, concurrency=concurrency,
+            requests_per_client=requests_per_client,
         )
     )
 
@@ -216,10 +205,9 @@ def measure_serving(predictor, queries: np.ndarray, *, concurrency: int,
 # ----------------------------------------------------------------------
 
 
-async def _measure_wire_async(predictor, queries: np.ndarray, *,
+async def _measure_wire_async(router: ModelRouter, queries: np.ndarray, *,
                               concurrency: int, requests_per_client: int,
-                              rows_per_request: int, batch_window: float,
-                              max_batch: int) -> dict:
+                              rows_per_request: int) -> dict:
     """JSON vs binary predict bodies over one server, same rows.
 
     Requests carry ``rows_per_request`` rows each — the regime the binary
@@ -228,10 +216,7 @@ async def _measure_wire_async(predictor, queries: np.ndarray, *,
     per format must answer bit-identically (the parity contract extends
     to the wire).
     """
-    server = PredictServer(
-        predictor, port=0, batching=True,
-        batch_window=batch_window, max_batch=max_batch,
-    )
+    server = PredictServer(router, port=0)
     await server.start()
     try:
         rows = [
@@ -293,17 +278,14 @@ async def _measure_wire_async(predictor, queries: np.ndarray, *,
     }
 
 
-def measure_wire_formats(predictor, queries: np.ndarray, *,
+def measure_wire_formats(router: ModelRouter, queries: np.ndarray, *,
                          concurrency: int, requests_per_client: int,
-                         rows_per_request: int = 64,
-                         batch_window: float = 0.001,
-                         max_batch: int = 256) -> dict:
+                         rows_per_request: int = 64) -> dict:
     return asyncio.run(
         _measure_wire_async(
-            predictor, queries, concurrency=concurrency,
+            router, queries, concurrency=concurrency,
             requests_per_client=requests_per_client,
             rows_per_request=rows_per_request,
-            batch_window=batch_window, max_batch=max_batch,
         )
     )
 
@@ -324,10 +306,10 @@ def run_wire_benchmark(*, dataset: str = "S5", size_factor: float = 1.0,
     with tempfile.TemporaryDirectory() as td:
         artifact_path = Path(td) / "wire-model.gba"
         clf.freeze(artifact_path)
-        with FrozenPredictor.load(artifact_path) as predictor:
+        with ModelRouter.from_specs({"default": artifact_path}) as router:
             levels = [
                 measure_wire_formats(
-                    predictor, queries, concurrency=concurrency,
+                    router, queries, concurrency=concurrency,
                     requests_per_client=requests_per_client,
                     rows_per_request=rows_per_request,
                 )
@@ -473,7 +455,6 @@ def run_benchmark(*, dataset: str = "S5", size_factor: float = 1.0,
                   rho: int = 5, seed: int = 0,
                   concurrency_levels=(1, 8, 64),
                   requests_per_client: int = 200,
-                  batch_window: float = 0.001, max_batch: int = 256,
                   tmp_dir: Path | None = None) -> dict:
     """The full benchmark: load comparison + parity gate + serving matrix."""
     import tempfile
@@ -487,30 +468,22 @@ def run_benchmark(*, dataset: str = "S5", size_factor: float = 1.0,
     with tempfile.TemporaryDirectory() as td:
         work_dir = Path(tmp_dir) if tmp_dir is not None else Path(td)
         load_record = bench_load(clf, work_dir)
-        with FrozenPredictor.load(work_dir / "bench-model.gba") as predictor:
-            parity = check_parity(clf, predictor, queries)
-            if not parity:
+        artifact_path = work_dir / "bench-model.gba"
+        with FrozenPredictor.load(artifact_path) as predictor:
+            if not check_parity(clf, predictor, queries):
                 return {"bench": "serve", "bit_identical": False}
-            matrix = []
-            for concurrency in concurrency_levels:
-                for batching in (False, True):
-                    matrix.append(
-                        measure_serving(
-                            predictor, queries, concurrency=concurrency,
-                            requests_per_client=requests_per_client,
-                            batching=batching, batch_window=batch_window,
-                            max_batch=max_batch,
-                        )
-                    )
+        with ModelRouter.from_specs({"default": artifact_path}) as router:
+            matrix = [
+                measure_serving(
+                    router, queries, concurrency=concurrency,
+                    requests_per_client=requests_per_client,
+                )
+                for concurrency in concurrency_levels
+            ]
 
-    top = max(concurrency_levels)
-
-    def _rps(batching: bool) -> float:
-        return next(
-            r["throughput_rps"] for r in matrix
-            if r["concurrency"] == top and r["batching"] is batching
-        )
-
+    at_top = next(
+        r for r in matrix if r["concurrency"] == max(concurrency_levels)
+    )
     return {
         "bench": "serve",
         "dataset": dataset,
@@ -523,13 +496,10 @@ def run_benchmark(*, dataset: str = "S5", size_factor: float = 1.0,
         "load": load_record,
         "serving": matrix,
         "requests_per_client": requests_per_client,
-        "batch_window_seconds": batch_window,
-        "max_batch": max_batch,
-        "batched_vs_unbatched_at_max_concurrency": {
-            "concurrency": top,
-            "unbatched_rps": _rps(False),
-            "batched_rps": _rps(True),
-            "speedup": _rps(True) / _rps(False),
+        "coalescing_at_max_concurrency": {
+            "concurrency": at_top["concurrency"],
+            "n_requests": at_top["n_requests"],
+            "n_batches": at_top["batch"]["n_batches"],
         },
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
@@ -549,23 +519,21 @@ def format_report(record: dict) -> str:
         f"({load['artifact_load_seconds_no_verify'] * 1e3:.2f} ms unverified) "
         f"vs pickle {load['pickle_bytes']} B in "
         f"{load['pickle_load_seconds'] * 1e3:.2f} ms",
-        f"{'clients':>8s} {'mode':>10s} {'p50 [ms]':>9s} {'p99 [ms]':>9s} "
-        f"{'mean':>7s} {'req/s':>9s} {'batches':>8s}",
+        f"{'clients':>8s} {'p50 [ms]':>9s} {'p99 [ms]':>9s} "
+        f"{'mean':>7s} {'req/s':>9s} {'batches':>8s} {'rows/pass':>9s}",
     ]
     for row in record["serving"]:
-        lat = row["latency_ms"]
-        batches = str(row["batch"]["n_batches"]) if "batch" in row else "-"
-        mode = "batched" if row["batching"] else "unbatched"
+        lat, batch = row["latency_ms"], row["batch"]
         lines.append(
-            f"{row['concurrency']:8d} {mode:>10s} {lat['p50']:9.3f} "
+            f"{row['concurrency']:8d} {lat['p50']:9.3f} "
             f"{lat['p99']:9.3f} {lat['mean']:7.3f} "
-            f"{row['throughput_rps']:9.0f} {batches:>8s}"
+            f"{row['throughput_rps']:9.0f} {batch['n_batches']:8d} "
+            f"{batch['mean_batch_rows']:9.2f}"
         )
-    gate = record["batched_vs_unbatched_at_max_concurrency"]
+    gate = record["coalescing_at_max_concurrency"]
     lines.append(
-        f"at {gate['concurrency']} clients: batched {gate['batched_rps']:.0f} "
-        f"req/s vs unbatched {gate['unbatched_rps']:.0f} req/s "
-        f"({gate['speedup']:.2f}x)"
+        f"at {gate['concurrency']} clients: {gate['n_requests']} requests "
+        f"in {gate['n_batches']} kernel passes"
     )
     return "\n".join(lines)
 
@@ -599,7 +567,8 @@ async def _reload_under_load_async(clf_v1, clf_v2, queries: np.ndarray, *,
     ]
 
     manager = PredictorManager(artifact_path, poll_interval=600.0)
-    server = PredictServer(manager, port=0, max_pending=max(256, 4 * clients))
+    server = PredictServer(ModelRouter({"default": manager}), port=0,
+                           max_pending=max(256, 4 * clients))
     await server.start()
     failed = 0
 
@@ -731,17 +700,15 @@ def test_frozen_serving_parity_and_shape():
     assert record["bit_identical"]
     assert record["load"]["artifact_bytes"] > 0
     assert record["load"]["artifact_load_seconds"] > 0
-    assert len(record["serving"]) == 4  # 2 concurrency levels x 2 modes
+    assert len(record["serving"]) == 2  # one row per concurrency level
     for row in record["serving"]:
         assert row["n_requests"] == row["concurrency"] * 25
         assert row["latency_ms"]["p50"] <= row["latency_ms"]["p99"]
         assert row["throughput_rps"] > 0
-    batched_8 = next(
-        r for r in record["serving"]
-        if r["concurrency"] == 8 and r["batching"]
-    )
-    # Coalescing happened: fewer kernel passes than requests.
-    assert batched_8["batch"]["n_batches"] < batched_8["n_requests"]
+    # Coalescing happened at 8 clients: fewer kernel passes than requests.
+    gate = record["coalescing_at_max_concurrency"]
+    assert gate["concurrency"] == 8
+    assert gate["n_batches"] < gate["n_requests"]
 
 
 def test_reload_under_load_smoke():
@@ -815,8 +782,6 @@ def main(argv=None) -> int:
     parser.add_argument("--concurrency", type=int, nargs="+",
                         default=[1, 8, 64],
                         help="concurrent client counts (default: 1 8 64)")
-    parser.add_argument("--batch-window-ms", type=float, default=1.0)
-    parser.add_argument("--max-batch", type=int, default=256)
     parser.add_argument("--reloads", type=int, default=0, metavar="R",
                         help="also run R hot swaps under streaming load "
                              "and gate on zero failed requests "
@@ -840,7 +805,6 @@ def main(argv=None) -> int:
         dataset=args.dataset, size_factor=args.size_factor, rho=args.rho,
         seed=args.seed, concurrency_levels=tuple(args.concurrency),
         requests_per_client=args.requests,
-        batch_window=args.batch_window_ms / 1e3, max_batch=args.max_batch,
     )
 
     if not record["bit_identical"]:
@@ -887,12 +851,12 @@ def main(argv=None) -> int:
     print(f"[report saved to {OUTPUT_DIR / 'serve_bench.txt'}]")
     print(f"[record saved to {BENCH_JSON}]")
 
-    gate = record["batched_vs_unbatched_at_max_concurrency"]
-    if gate["batched_rps"] < gate["unbatched_rps"]:
+    gate = record["coalescing_at_max_concurrency"]
+    if gate["concurrency"] > 1 and gate["n_batches"] >= gate["n_requests"]:
         print(
-            f"FAIL: micro-batched throughput {gate['batched_rps']:.0f} req/s "
-            f"below unbatched {gate['unbatched_rps']:.0f} req/s at "
-            f"{gate['concurrency']} clients"
+            f"FAIL: no coalescing at {gate['concurrency']} clients: "
+            f"{gate['n_requests']} requests took {gate['n_batches']} "
+            "kernel passes"
         )
         return 1
     reload_record = record.get("reload_under_load")

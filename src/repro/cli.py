@@ -221,10 +221,6 @@ def _parse_model_specs(pairs) -> dict:
 def _cmd_serve(args) -> int:
     from repro.serving.server import run_server
 
-    if args.batch_window_ms < 0:
-        raise SystemExit("serve: --batch-window-ms must be >= 0")
-    if args.max_batch < 1:
-        raise SystemExit("serve: --max-batch must be >= 1")
     if args.max_pending < 1:
         raise SystemExit("serve: --max-pending must be >= 1")
     if args.poll_interval_s <= 0:
@@ -266,9 +262,6 @@ def _cmd_serve(args) -> int:
             default_model=default_model,
             host=args.host,
             port=args.port,
-            batch_window=args.batch_window_ms / 1e3,
-            max_batch=args.max_batch,
-            batching=not args.no_batch,
             verify=not args.no_verify,
             max_pending=args.max_pending,
             request_timeout=(
@@ -369,15 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8000,
                          help="TCP port (0 = ephemeral, printed on start)")
-    p_serve.add_argument("--batch-window-ms", type=float, default=1.0,
-                         metavar="MS",
-                         help="micro-batch accumulation window "
-                              "(default: 1 ms)")
-    p_serve.add_argument("--max-batch", type=int, default=256, metavar="N",
-                         help="flush a batch early at this many rows")
-    p_serve.add_argument("--no-batch", action="store_true",
-                         help="answer each request individually "
-                              "(benchmark baseline)")
     p_serve.add_argument("--no-verify", action="store_true",
                          help="skip the artifact checksum at load")
     p_serve.add_argument("--max-pending", type=int, default=64, metavar="N",

@@ -13,8 +13,8 @@ decode path is as fast as the hardware allows):
   predict path is bit-identical to a fitted
   :class:`~repro.classifiers.gb_classifier.GranularBallClassifier` while
   allocating nothing per request beyond the output.
-* :mod:`repro.serving.batching` — :class:`MicroBatcher`, coalescing
-  concurrent requests into one vectorised pass per ~1 ms window.
+* :mod:`repro.serving.batching` — :class:`MicroBatcher`, answering the
+  requests that arrive within one event-loop turn with one vectorised pass.
 * :mod:`repro.serving.manager` — :class:`PredictorManager`, hot artifact
   reload: watch the artifact path, validate the replacement, swap it
   atomically under live traffic, roll back on a corrupt publish.

@@ -1,29 +1,28 @@
 """Micro-batching: coalesce concurrent predict calls into vectorised passes.
 
 Per-request numpy dispatch overhead dwarfs per-row compute for small
-queries; at high concurrency the winning move is to let requests pool for
-a very short window (~1 ms) and answer the pool with **one** kernel pass.
-:class:`MicroBatcher` implements that policy for a single asyncio event
-loop:
+queries, so concurrent requests are answered with **one** kernel pass.
+:class:`MicroBatcher` does that with one rule and nothing to tune:
 
-* a submit starts (or joins) the current batch;
-* the batch flushes when the window timer fires **or** the pooled row
-  count reaches ``max_batch`` — whichever comes first, so a burst never
-  waits out the timer;
-* the flush concatenates the pooled queries, runs the predict function
+* a submit enqueues its rows and, if no flush is pending, schedules one
+  for the next event-loop turn (``loop.call_soon``);
+* the flush concatenates everything queued, runs the predict function
   once, and slices the result back to each waiter;
-* :meth:`aclose` drains the pending batch before refusing new work, which
-  is what makes SIGTERM shutdown lossless.
+* :meth:`aclose` drains the queue before refusing new work, which is what
+  makes SIGTERM shutdown lossless.
 
 The predict function runs synchronously on the event loop: it is a single
 vectorised numpy pass, which is exactly the granularity at which blocking
-the loop is cheaper than any hand-off.
+the loop is cheaper than any hand-off.  That is also why no timer is
+needed: a lone request is answered on the very next turn, and the
+requests that arrive while a pass runs are exactly the ones the following
+turn collects, so the batch grows with load on its own.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,6 @@ class BatchStats:
     n_requests: int = 0
     n_rows: int = 0
     n_batches: int = 0
-    n_full_flushes: int = 0  # flushed by hitting max_batch, not the timer
     max_batch_rows: int = 0
     batch_rows_total: int = 0
 
@@ -58,40 +56,28 @@ class BatchStats:
             "n_requests": self.n_requests,
             "n_rows": self.n_rows,
             "n_batches": self.n_batches,
-            "n_full_flushes": self.n_full_flushes,
+            # No flush is forced by a row count any more; the key stays at
+            # 0 because perfbench/workloads.py reads it from /healthz.
+            "n_full_flushes": 0,
             "max_batch_rows": self.max_batch_rows,
             "mean_batch_rows": mean,
         }
 
 
 class MicroBatcher:
-    """Accumulate predict requests briefly, answer them in one pass.
+    """Answer everything queued within one loop turn with one pass.
 
     Parameters
     ----------
     predict:
         ``(n, p) -> (n,)`` vectorised prediction function (typically
-        ``FrozenPredictor.predict``).
-    window:
-        Seconds a lone request waits for company before the batch flushes
-        (default 1 ms).  ``0`` flushes on the next loop iteration, which
-        still coalesces bursts that arrive in the same tick.
-    max_batch:
-        Row threshold that flushes immediately without waiting the window.
+        ``PredictorManager.predict``).
     """
 
-    def __init__(self, predict, *, window: float = 0.001,
-                 max_batch: int = 256):
-        if window < 0:
-            raise ValueError("window must be >= 0")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+    def __init__(self, predict):
         self._predict = predict
-        self._window = float(window)
-        self._max_batch = int(max_batch)
         self._pending: list[tuple[np.ndarray, asyncio.Future]] = []
-        self._pending_rows = 0
-        self._timer: asyncio.TimerHandle | None = None
+        self._flush_scheduled = False
         self._closed = False
         self.stats = BatchStats()
 
@@ -105,33 +91,28 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._pending.append((x, future))
-        self._pending_rows += x.shape[0]
         self.stats.n_requests += 1
         self.stats.n_rows += x.shape[0]
-        if self._pending_rows >= self._max_batch:
-            self.stats.n_full_flushes += 1
-            self._flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self._window, self._flush)
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            loop.call_soon(self._flush)
         return await future
 
     def _flush(self) -> None:
         """Answer every pending request with one vectorised pass."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._flush_scheduled = False
         if not self._pending:
             return
         batch, self._pending = self._pending, []
-        rows, self._pending_rows = self._pending_rows, 0
-        self.stats.n_batches += 1
-        self.stats.batch_rows_total += rows
-        self.stats.max_batch_rows = max(self.stats.max_batch_rows, rows)
         xs = (
             batch[0][0]
             if len(batch) == 1
             else np.concatenate([x for x, _ in batch], axis=0)
         )
+        rows = xs.shape[0]
+        self.stats.n_batches += 1
+        self.stats.batch_rows_total += rows
+        self.stats.max_batch_rows = max(self.stats.max_batch_rows, rows)
         try:
             labels = self._predict(xs)
         except Exception as exc:  # propagate to every waiter, not the loop
@@ -150,8 +131,3 @@ class MicroBatcher:
         """Flush whatever is pending, then refuse further submits."""
         self._closed = True
         self._flush()
-
-    @property
-    def pending_rows(self) -> int:
-        """Rows currently waiting for the next flush."""
-        return self._pending_rows

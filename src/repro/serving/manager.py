@@ -74,16 +74,12 @@ class PredictorManager:
     fault_injector:
         Optional :class:`~repro.serving.faults._FaultInjector` test hook;
         consulted before every load attempt.
-    predictor:
-        Adopt an already-loaded predictor instead of loading ``path``
-        (used by :meth:`adopt`; the file is still watched/reloadable).
     """
 
     def __init__(self, path, *, verify: bool = True,
                  poll_interval: float = 2.0,
                  chunk_size: int = DEFAULT_ASSIGN_CHUNK,
-                 history_limit: int = 32, fault_injector=None,
-                 predictor: FrozenPredictor | None = None):
+                 history_limit: int = 32, fault_injector=None):
         self.path = Path(path)
         self._verify = bool(verify)
         self.poll_interval = float(poll_interval)
@@ -96,20 +92,11 @@ class PredictorManager:
         self.generation = 1
         self.n_reloads = 0
         self.last_error: str | None = None
-        if predictor is None:
-            predictor = FrozenPredictor.load(
-                self.path, verify=verify, chunk_size=chunk_size
-            )
-        self._current = predictor
+        self._current = FrozenPredictor.load(
+            self.path, verify=verify, chunk_size=chunk_size
+        )
         self._signature = self._stat_signature()
         self._record("loaded", "startup", error=None, seconds=0.0)
-
-    @classmethod
-    def adopt(cls, predictor: FrozenPredictor,
-              **kwargs) -> "PredictorManager":
-        """Wrap an already-loaded predictor (its path becomes the watched
-        artifact); used by ``PredictServer`` for plain-predictor callers."""
-        return cls(predictor.path, predictor=predictor, **kwargs)
 
     # -- serving surface ------------------------------------------------
 

@@ -31,11 +31,7 @@ from pathlib import Path
 
 from repro.serving.manager import PredictorManager
 
-__all__ = ["DEFAULT_MODEL_NAME", "ModelRouter", "UnknownModelError"]
-
-#: Name under which a bare single artifact is registered (the alias the
-#: historical one-model ``repro serve model.gba`` form serves under).
-DEFAULT_MODEL_NAME = "default"
+__all__ = ["ModelRouter", "UnknownModelError"]
 
 #: Characters allowed in a model name: it is a URL path segment and a
 #: CLI token, so keep it boring.
@@ -139,12 +135,6 @@ class ModelRouter:
                 manager.close()
             raise
         return cls(managers, default)
-
-    @classmethod
-    def adopt(cls, manager: PredictorManager,
-              name: str = DEFAULT_MODEL_NAME) -> "ModelRouter":
-        """Wrap a single existing manager (the back-compat constructor)."""
-        return cls({name: manager}, name)
 
     # -- lookup ----------------------------------------------------------
 

@@ -17,11 +17,11 @@ handful of endpoints).  Design points:
   text on the hot path.  JSON stays the default; error bodies are always
   JSON; a server started with ``binary=False`` answers ``415`` and the
   client falls back.
-* **Micro-batched by default.**  Each model has its own
-  :class:`~repro.serving.batching.MicroBatcher`; concurrent requests for
-  one model are answered by one vectorised kernel pass per ~1 ms window.
-  ``--no-batch`` serves each request individually (the benchmark
-  baseline).
+* **Micro-batched.**  Each model has its own
+  :class:`~repro.serving.batching.MicroBatcher`; the requests for one
+  model that arrive within one event-loop turn — a lone request, or all
+  those that queued while the previous kernel pass ran — are answered by
+  one vectorised kernel pass on the next turn.
 * **Hot artifact reload, per model.**  Republishing any model's artifact
   (or SIGHUP, or ``POST /admin/reload``) loads + validates the new model
   in the background and swaps it atomically under traffic; a corrupt
@@ -76,8 +76,6 @@ import numpy as np
 
 from repro.serving import wire
 from repro.serving.batching import BatcherClosedError, MicroBatcher
-from repro.serving.manager import PredictorManager
-from repro.serving.predictor import FrozenPredictor
 from repro.serving.router import ModelRouter, UnknownModelError
 
 __all__ = ["PredictServer", "run_server"]
@@ -164,21 +162,12 @@ class PredictServer:
 
     Parameters
     ----------
-    predictor:
-        What to serve: a :class:`~repro.serving.router.ModelRouter`
-        (multi-model), a :class:`~repro.serving.manager.PredictorManager`
-        or a bare :class:`~repro.serving.predictor.FrozenPredictor` (both
-        wrapped as a single-model router under the name ``"default"``).
+    router:
+        What to serve: a :class:`~repro.serving.router.ModelRouter`; one
+        model is a one-entry router (``ModelRouter({"default": manager})``).
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (see
         :attr:`port` after :meth:`start`).
-    batch_window:
-        Micro-batch accumulation window in seconds.
-    max_batch:
-        Row threshold flushing a batch early.
-    batching:
-        ``False`` answers each request with its own kernel pass (the
-        benchmark's unbatched baseline).
     max_pending:
         Admission limit: predicts allowed to wait at once — across all
         models — before the server sheds with 503 + ``Retry-After``.
@@ -198,36 +187,18 @@ class PredictServer:
         hook (tests/bench only).
     """
 
-    def __init__(self, predictor, host: str = "127.0.0.1",
-                 port: int = 8000, *, batch_window: float = 0.001,
-                 max_batch: int = 256, batching: bool = True,
-                 max_pending: int = 64,
+    def __init__(self, router: ModelRouter, host: str = "127.0.0.1",
+                 port: int = 8000, *, max_pending: int = 64,
                  request_timeout: float | None = None,
                  ready_fraction: float = 0.8, binary: bool = True,
                  fault_injector=None):
-        if isinstance(predictor, ModelRouter):
-            self.router = predictor
-        elif isinstance(predictor, PredictorManager):
-            self.router = ModelRouter.adopt(predictor)
-        elif isinstance(predictor, FrozenPredictor):
-            self.router = ModelRouter.adopt(PredictorManager.adopt(predictor))
-        else:
-            raise TypeError(
-                "predictor must be a FrozenPredictor, a PredictorManager "
-                "or a ModelRouter"
-            )
+        self.router = router
         self.host = host
         self.port = int(port)
-        self.batching = bool(batching)
-        self.batchers: dict[str, MicroBatcher] = (
-            {
-                name: MicroBatcher(manager.predict, window=batch_window,
-                                   max_batch=max_batch)
-                for name, manager in self.router.items()
-            }
-            if batching
-            else {}
-        )
+        self.batchers = {
+            name: MicroBatcher(manager.predict)
+            for name, manager in router.items()
+        }
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.max_pending = int(max_pending)
@@ -249,21 +220,6 @@ class PredictServer:
         self.n_shed = 0
         self.n_timeouts = 0
         self.n_errors = 0
-
-    @property
-    def manager(self) -> PredictorManager:
-        """The default model's manager (single-model back-compat)."""
-        return self.router.get()
-
-    @property
-    def predictor(self) -> FrozenPredictor:
-        """The default model's live predictor (changes across reloads)."""
-        return self.router.get().current
-
-    @property
-    def batcher(self) -> MicroBatcher | None:
-        """The default model's batcher (single-model back-compat)."""
-        return self.batchers.get(self.router.default)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -303,11 +259,10 @@ class PredictServer:
                 await asyncio.gather(*pending, return_exceptions=True)
 
     def stats(self) -> dict:
-        record = {
+        return {
             "uptime_seconds": time.time() - self._started,
             "n_http_requests": self.n_http_requests,
             "n_binary_requests": self.n_binary_requests,
-            "batching": self.batching,
             "binary": self.binary,
             "admission": {
                 "pending": self._pending,
@@ -318,18 +273,14 @@ class PredictServer:
                 "n_timeouts": self.n_timeouts,
                 "n_errors": self.n_errors,
             },
-            "reload": self.manager.stats(),
+            "reload": self.router.get().stats(),
             "router": self.router.stats(),
-        }
-        default_batcher = self.batcher
-        if default_batcher is not None:
-            record["batch"] = default_batcher.stats.as_dict()
-        if self.batchers:
-            record["batch_by_model"] = {
+            "batch": self.batchers[self.router.default].stats.as_dict(),
+            "batch_by_model": {
                 name: batcher.stats.as_dict()
                 for name, batcher in sorted(self.batchers.items())
-            }
-        return record
+            },
+        }
 
     def readiness(self) -> tuple[bool, list[str]]:
         """The ``/readyz`` verdict: ``(ready, reasons-if-not)``.
@@ -497,13 +448,10 @@ class PredictServer:
         return _response(409, "Conflict", entry, keep_alive)
 
     async def _submit(self, x: np.ndarray, model_name: str) -> np.ndarray:
-        """One predict through the chaos hook and batcher/manager."""
+        """One predict through the chaos hook and the model's batcher."""
         if self._faults is not None:
             await self._faults.before_predict(model=model_name)
-        batcher = self.batchers.get(model_name)
-        if batcher is not None:
-            return await batcher.submit(x)
-        return self.router.get(model_name).predict(x)
+        return await self.batchers[model_name].submit(x)
 
     async def _handle_predict(self, body: bytes, content_type: str,
                               model_name: str | None,
@@ -601,32 +549,23 @@ class PredictServer:
 
 
 async def _serve_async(router: ModelRouter, host: str, port: int, *,
-                       batch_window: float, max_batch: int, batching: bool,
                        max_pending: int, request_timeout: float | None,
                        binary: bool, watch: bool) -> dict:
     server = PredictServer(
-        router, host, port, batch_window=batch_window,
-        max_batch=max_batch, batching=batching, max_pending=max_pending,
+        router, host, port, max_pending=max_pending,
         request_timeout=request_timeout, binary=binary,
     )
     await server.start()
-    mode = (
-        f"micro-batched (window {batch_window * 1e3:g} ms, "
-        f"max {max_batch} rows)"
-        if batching
-        else "unbatched"
-    )
     if len(router) == 1:
         predictor = router.get().current
         what = (
             f"{predictor.path} on http://{server.host}:{server.port} "
-            f"[{mode}; {predictor.n_balls} balls, "
-            f"{predictor.n_features} features]"
+            f"[{predictor.n_balls} balls, {predictor.n_features} features]"
         )
     else:
         what = (
             f"{len(router)} models on http://{server.host}:{server.port} "
-            f"[{mode}; models: {', '.join(router.names)}; "
+            f"[models: {', '.join(router.names)}; "
             f"default: {router.default}]"
         )
     print(f"serving {what}", flush=True)
@@ -652,9 +591,7 @@ async def _serve_async(router: ModelRouter, host: str, port: int, *,
 
 def run_server(artifact_path=None, host: str = "127.0.0.1",
                port: int = 8000, *, models: dict | None = None,
-               default_model: str | None = None,
-               batch_window: float = 0.001, max_batch: int = 256,
-               batching: bool = True, verify: bool = True,
+               default_model: str | None = None, verify: bool = True,
                max_pending: int = 64, request_timeout: float | None = 30.0,
                poll_interval: float = 2.0, binary: bool = True,
                watch: bool = True) -> int:
@@ -683,10 +620,8 @@ def run_server(artifact_path=None, host: str = "127.0.0.1",
     try:
         asyncio.run(
             _serve_async(
-                router, host, port, batch_window=batch_window,
-                max_batch=max_batch, batching=batching,
-                max_pending=max_pending, request_timeout=request_timeout,
-                binary=binary, watch=watch,
+                router, host, port, max_pending=max_pending,
+                request_timeout=request_timeout, binary=binary, watch=watch,
             )
         )
     finally:

@@ -106,3 +106,33 @@ def test_architecture_pages_name_their_contract_tests():
             assert (REPO_ROOT / test_file).exists(), (
                 f"{page} references missing {test_file}"
             )
+
+
+def _defined_flags() -> set[str]:
+    """Every ``--flag`` an argparse ``add_argument`` call defines in the
+    package, the benchmark scripts or the repo benchmark."""
+    flags = set()
+    for top in ("src", "benchmarks", "perfbench"):
+        for path in (REPO_ROOT / top).rglob("*.py"):
+            for names in re.findall(
+                r"add_argument\(\s*((?:[\"'][^\"']*[\"']\s*,\s*)+)",
+                path.read_text(),
+            ):
+                flags.update(re.findall(r"[\"'](--[\w-]+)[\"']", names))
+    return flags
+
+
+def test_every_documented_flag_is_defined():
+    """A flag the docs or README name must exist: an option that was
+    removed from the code may not live on in the docs."""
+    defined = _defined_flags()
+    assert "--port" in defined and "--store-url" in defined  # scan works
+    pages = [*DOCS.rglob("*.md"), REPO_ROOT / "README.md"]
+    undefined = sorted(
+        f"{page.relative_to(REPO_ROOT)}: {flag}"
+        for page in pages
+        for flag in set(re.findall(r"(?<![\w-])--[a-z][\w-]*",
+                                   page.read_text()))
+        if flag not in defined
+    )
+    assert not undefined, undefined

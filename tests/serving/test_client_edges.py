@@ -108,7 +108,6 @@ class TestRetryAfterParsing:
         async def run():
             async with running_server(
                 artifact_path, fault_injector=injector, max_pending=1,
-                batching=False,
             ) as (server, manager):
                 # Hold one slow predict in flight so the next is shed.
                 injector.delay_predicts(0.3)

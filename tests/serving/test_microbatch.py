@@ -1,4 +1,4 @@
-"""MicroBatcher semantics: coalescing, thresholds, routing, drain."""
+"""MicroBatcher semantics: one pass per loop turn, slicing, drain."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ class TestCoalescing:
         predict = CountingPredict()
 
         async def scenario():
-            batcher = MicroBatcher(predict, window=0.01, max_batch=1000)
+            batcher = MicroBatcher(predict)
             rows = [np.full((1, 3), float(i)) for i in range(10)]
             results = await asyncio.gather(
                 *[batcher.submit(r) for r in rows]
@@ -48,7 +48,7 @@ class TestCoalescing:
         predict = CountingPredict()
 
         async def scenario():
-            batcher = MicroBatcher(predict, window=0.01, max_batch=1000)
+            batcher = MicroBatcher(predict)
             a = np.arange(6, dtype=float).reshape(3, 2)
             b = np.arange(100, 104, dtype=float).reshape(2, 2)
             return await asyncio.gather(batcher.submit(a), batcher.submit(b))
@@ -61,7 +61,7 @@ class TestCoalescing:
         predict = CountingPredict()
 
         async def scenario():
-            batcher = MicroBatcher(predict, window=0.0, max_batch=1000)
+            batcher = MicroBatcher(predict)
             await batcher.submit(np.zeros((1, 2)))
             await batcher.submit(np.ones((1, 2)))
             return batcher.stats
@@ -71,51 +71,50 @@ class TestCoalescing:
         assert stats.n_requests == 2
 
 
-class TestThresholds:
-    def test_max_batch_flushes_without_waiting_the_window(self):
+class TestOneLoopTurn:
+    def test_submits_in_one_turn_share_one_pass(self):
         predict = CountingPredict()
 
         async def scenario():
-            # A window long enough that the test would time out if the
-            # flush relied on the timer.
-            batcher = MicroBatcher(predict, window=60.0, max_batch=4)
-            rows = [np.full((1, 2), float(i)) for i in range(4)]
-            return await asyncio.wait_for(
-                asyncio.gather(*[batcher.submit(r) for r in rows]),
-                timeout=5.0,
-            )
+            batcher = MicroBatcher(predict)
+            tasks = [
+                asyncio.ensure_future(batcher.submit(np.full((1, 2), i)))
+                for i in range(5)
+            ]
+            await asyncio.sleep(0)  # one turn: all five enqueue, none flush
+            assert predict.batches == []
+            first = await asyncio.gather(*tasks)
+            # A submit made after that flush is the next turn's pass.
+            late = await batcher.submit(np.full((2, 2), 9.0))
+            return first, late
 
-        run(scenario())
-        assert predict.batches[0].shape == (4, 2)
-        assert predict.batches and len(predict.batches) == 1
+        first, late = run(scenario())
+        assert [b.shape for b in predict.batches] == [(5, 2), (2, 2)]
+        for i, labels in enumerate(first):
+            np.testing.assert_array_equal(labels, [i])
+        np.testing.assert_array_equal(late, [9, 9])
 
-    def test_oversized_single_request_flushes_immediately(self):
+    def test_lone_submit_resolves_next_turn_without_a_timer(self):
         predict = CountingPredict()
 
-        async def scenario():
-            batcher = MicroBatcher(predict, window=60.0, max_batch=4)
-            return await asyncio.wait_for(
-                batcher.submit(np.zeros((9, 2))), timeout=5.0
-            )
-
-        labels = run(scenario())
-        assert labels.shape == (9,)
-        assert predict.batches[0].shape == (9, 2)
-
-    def test_full_flush_counter(self):
-        predict = CountingPredict()
+        def no_timer(*args, **kwargs):
+            raise AssertionError("the batcher armed a timer")
 
         async def scenario():
-            batcher = MicroBatcher(predict, window=60.0, max_batch=2)
-            await asyncio.gather(
-                batcher.submit(np.zeros((1, 2))),
-                batcher.submit(np.ones((1, 2))),
-            )
-            return batcher.stats
+            loop = asyncio.get_running_loop()
+            loop.call_later = no_timer
+            try:
+                batcher = MicroBatcher(predict)
+                task = asyncio.ensure_future(batcher.submit(np.ones((1, 2))))
+                await asyncio.sleep(0)  # the submit enqueues
+                assert predict.batches == []
+                await asyncio.sleep(0)  # the next turn flushes
+                assert len(predict.batches) == 1
+                return await task
+            finally:
+                del loop.call_later
 
-        stats = run(scenario())
-        assert stats.n_full_flushes == 1
-        assert stats.max_batch_rows == 2
+        np.testing.assert_array_equal(run(scenario()), [1])
 
 
 class TestFailureAndDrain:
@@ -124,7 +123,7 @@ class TestFailureAndDrain:
             raise RuntimeError("kernel on fire")
 
         async def scenario():
-            batcher = MicroBatcher(exploding, window=0.005, max_batch=100)
+            batcher = MicroBatcher(exploding)
             tasks = [
                 asyncio.ensure_future(batcher.submit(np.zeros((1, 2))))
                 for _ in range(3)
@@ -139,10 +138,11 @@ class TestFailureAndDrain:
         predict = CountingPredict()
 
         async def scenario():
-            batcher = MicroBatcher(predict, window=60.0, max_batch=100)
+            batcher = MicroBatcher(predict)
             task = asyncio.ensure_future(batcher.submit(np.zeros((2, 2))))
             await asyncio.sleep(0)  # let the submit enqueue
             await batcher.aclose()
+            assert len(predict.batches) == 1  # flushed by aclose itself
             return await asyncio.wait_for(task, timeout=5.0)
 
         labels = run(scenario())
@@ -150,15 +150,9 @@ class TestFailureAndDrain:
 
     def test_submit_after_close_raises(self):
         async def scenario():
-            batcher = MicroBatcher(CountingPredict(), window=0.001)
+            batcher = MicroBatcher(CountingPredict())
             await batcher.aclose()
             with pytest.raises(RuntimeError, match="closed"):
                 await batcher.submit(np.zeros((1, 2)))
 
         run(scenario())
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(CountingPredict(), window=-1.0)
-        with pytest.raises(ValueError):
-            MicroBatcher(CountingPredict(), max_batch=0)

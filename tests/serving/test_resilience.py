@@ -39,6 +39,7 @@ from repro.classifiers.gb_classifier import GranularBallClassifier
 from repro.serving import FrozenPredictor, PredictorManager, load_artifact
 from repro.serving.client import PredictClient, PredictError
 from repro.serving.faults import FaultInjected, _FaultInjector, corrupt_artifact
+from repro.serving.router import ModelRouter
 from repro.serving.server import PredictServer
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -56,7 +57,8 @@ async def running_server(artifact_path, *, manager=None, **server_kwargs):
     own_manager = manager is None
     if manager is None:
         manager = PredictorManager(artifact_path, poll_interval=30.0)
-    server = PredictServer(manager, port=0, **server_kwargs)
+    server = PredictServer(ModelRouter({"default": manager}), port=0,
+                           **server_kwargs)
     await server.start()
     try:
         yield server, manager
@@ -230,18 +232,6 @@ class TestPredictorManager:
         assert entry["status"] == "swapped"
         assert injector.n_load_failures == 1
 
-    def test_adopt_wraps_a_live_predictor(self, artifact_path, queries):
-        predictor = FrozenPredictor.load(artifact_path)
-        manager = PredictorManager.adopt(predictor)
-        try:
-            assert manager.current is predictor
-            assert manager.generation == 1
-            np.testing.assert_array_equal(
-                manager.predict(queries), predictor.predict(queries)
-            )
-        finally:
-            manager.close()
-
 
 # ----------------------------------------------------------------------
 # admission control, deadlines, error classification
@@ -272,7 +262,7 @@ class TestAdmissionControl:
 
         async def run():
             async with running_server(
-                artifact_path, batching=False, max_pending=2,
+                artifact_path, max_pending=2,
                 fault_injector=injector,
             ) as (server, manager):
                 results = await scenario(server, manager)
@@ -308,7 +298,7 @@ class TestAdmissionControl:
 
         async def run():
             async with running_server(
-                artifact_path, batching=False, max_pending=1,
+                artifact_path, max_pending=1,
                 fault_injector=injector,
             ) as (server, _manager):
                 results = await asyncio.gather(
@@ -349,7 +339,7 @@ class TestAdmissionControl:
 
         async def run():
             async with running_server(
-                artifact_path, batching=False, request_timeout=0.05,
+                artifact_path, request_timeout=0.05,
                 fault_injector=injector,
             ) as (server, manager):
                 return await scenario(server, manager)
@@ -379,7 +369,7 @@ class TestAdmissionControl:
 
         async def run():
             async with running_server(
-                artifact_path, batching=False, fault_injector=injector,
+                artifact_path, fault_injector=injector,
             ) as (server, manager):
                 result = await scenario(server, manager)
                 return result, server.n_errors
@@ -402,7 +392,7 @@ class TestAdmissionControl:
         to 503; a predictor RuntimeError is a real 500."""
 
         async def scenario(server, manager):
-            manager.predict = _boom  # type: ignore[method-assign]
+            manager.current.predict = _boom  # type: ignore[method-assign]
             client = await PredictClient.connect(
                 server.host, server.port, retries=0
             )
@@ -418,9 +408,7 @@ class TestAdmissionControl:
             raise RuntimeError("kernel exploded")
 
         async def run():
-            async with running_server(
-                artifact_path, batching=False,
-            ) as (server, manager):
+            async with running_server(artifact_path) as (server, manager):
                 return await scenario(server, manager)
 
         status, payload = asyncio.run(run())
@@ -436,7 +424,7 @@ class TestAdmissionControl:
                 server.host, server.port, retries=0
             )
             try:
-                await server.batcher.aclose()
+                await server.batchers["default"].aclose()
                 status, payload = await client.request(
                     "POST", "/predict", {"x": [[0.0, 0.0]]}
                 )

@@ -34,11 +34,10 @@ import numpy as np
 import pytest
 
 from repro.classifiers.gb_classifier import GranularBallClassifier
-from repro.serving import FrozenPredictor, PredictorManager
+from repro.serving import FrozenPredictor
 from repro.serving.client import PredictClient, PredictError
 from repro.serving.faults import _FaultInjector, corrupt_artifact
 from repro.serving.router import (
-    DEFAULT_MODEL_NAME,
     ModelRouter,
     UnknownModelError,
     validate_model_name,
@@ -134,16 +133,6 @@ class TestRouterConstruction:
             ModelRouter.from_specs(
                 {"a": path_a, "b": tmp_path / "missing.gba"}, "a"
             )
-
-    def test_adopt_wraps_one_manager(self, artifact_path):
-        manager = PredictorManager(artifact_path, poll_interval=30.0)
-        router = ModelRouter.adopt(manager)
-        try:
-            assert router.default == DEFAULT_MODEL_NAME
-            assert router.get() is manager
-            assert len(router) == 1 and "default" in router
-        finally:
-            router.close()
 
     def test_names_are_sorted(self, two_model_paths):
         path_a, path_b = two_model_paths

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.serving import FrozenPredictor
 from repro.serving.client import PredictClient
+from repro.serving.router import ModelRouter
 from repro.serving.server import PredictServer
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -28,8 +28,8 @@ def _env():
 
 async def _with_server(artifact_path, scenario, **server_kwargs):
     """Run ``scenario(server)`` against a started in-process server."""
-    with FrozenPredictor.load(artifact_path) as predictor:
-        server = PredictServer(predictor, port=0, **server_kwargs)
+    with ModelRouter.from_specs({"default": artifact_path}) as router:
+        server = PredictServer(router, port=0, **server_kwargs)
         await server.start()
         try:
             return await scenario(server)
@@ -78,8 +78,27 @@ class TestRoutes:
         assert payload["model"]["n_features"] == 2
         assert payload["model"]["n_balls"] > 0
         assert payload["stats"]["n_http_requests"] >= 1
-        assert payload["stats"]["batching"] is True
         assert payload["stats"]["batch"]["n_requests"] >= 1
+
+    def test_healthz_keeps_the_counters_perfbench_reads(self, artifact_path):
+        """``perfbench/workloads.py`` reads these keys off ``/healthz``."""
+
+        async def scenario(server):
+            client = await PredictClient.connect(server.host, server.port)
+            try:
+                await client.predict([[0.0, 0.0]])
+                return await client.healthz()
+            finally:
+                await client.close()
+
+        stats = asyncio.run(_with_server(artifact_path, scenario))["stats"]
+        batch, admission = stats["batch"], stats["admission"]
+        assert batch["n_batches"] == 1
+        assert batch["mean_batch_rows"] == 1.0
+        assert batch["n_full_flushes"] == 0
+        assert admission["pending_high_water"] == 1
+        for key in ("n_shed", "n_timeouts", "n_errors"):
+            assert admission[key] == 0, key
 
     def test_unknown_route_is_404(self, artifact_path):
         async def scenario(server):
@@ -134,21 +153,6 @@ class TestRoutes:
         stats = asyncio.run(_with_server(artifact_path, scenario))
         assert stats["n_http_requests"] == 5
 
-    def test_unbatched_mode_serves_directly(self, fitted_clf, artifact_path):
-        async def scenario(server):
-            assert server.batcher is None
-            client = await PredictClient.connect(server.host, server.port)
-            try:
-                return await client.predict([[0.5, 0.5]])
-            finally:
-                await client.close()
-
-        labels = asyncio.run(
-            _with_server(artifact_path, scenario, batching=False)
-        )
-        expected = fitted_clf.predict(np.array([[0.5, 0.5]]))
-        np.testing.assert_array_equal(labels, expected)
-
 
 class TestBatchingOverSockets:
     def test_concurrent_clients_coalesce(self, fitted_clf, artifact_path):
@@ -177,9 +181,7 @@ class TestBatchingOverSockets:
             return per_client, results, server.stats()
 
         per_client, results, stats = asyncio.run(
-            _with_server(
-                artifact_path, scenario, batch_window=0.005, max_batch=1024
-            )
+            _with_server(artifact_path, scenario)
         )
         for rows, rounds in zip(per_client, results):
             expected = fitted_clf.predict(rows)
@@ -236,7 +238,7 @@ class TestServeCli:
 
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", str(artifact),
-             "--port", "0", "--batch-window-ms", "1.0"],
+             "--port", "0"],
             env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         )
