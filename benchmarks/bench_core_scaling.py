@@ -2,15 +2,16 @@
 
 These complement the table/figure regenerators: they time RD-GBG and GBABS
 themselves (the paper claims linear-ish scaling, §IV-B3) and the sampling
-baselines on a common workload.  Since the vectorised granulation engine
-landed, RD-GBG is benchmarked on both backends so the legacy-vs-engine
-speedup stays measurable from PR to PR.
+baselines on a common workload.  RD-GBG is also timed against the
+full-sort oracle ``tests/core/reference_rdgbg.py``, so the vectorised
+engine's speedup stays measurable from change to change, with a bit-parity
+check on every workload.
 
-Run as a script for the speedup report (written to
-``benchmarks/output/core_scaling.txt``)::
+Run as a script from the repository root (the oracle lives in ``tests``)
+for the speedup report, written to ``benchmarks/output/core_scaling.txt``::
 
-    PYTHONPATH=src python benchmarks/bench_core_scaling.py
-    PYTHONPATH=src python benchmarks/bench_core_scaling.py --factors 0.01 --rounds 1
+    PYTHONPATH=src:. python benchmarks/bench_core_scaling.py
+    PYTHONPATH=src:. python benchmarks/bench_core_scaling.py --factors 0.01 --rounds 1
 """
 
 import argparse
@@ -23,6 +24,10 @@ import pytest
 from repro.core import GBABS, RDGBG
 from repro.datasets import load_dataset
 from repro.sampling import make_sampler
+from tests.core.reference_rdgbg import ReferenceRDGBG
+
+#: The timed generators: the full-sort oracle and the vectorised engine.
+GENERATORS = {"reference": ReferenceRDGBG, "engine": RDGBG}
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +36,11 @@ def workload():
     return x, y
 
 
-@pytest.mark.parametrize("backend", ["legacy", "engine"])
-def test_bench_rdgbg_generate(benchmark, workload, backend):
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_bench_rdgbg_generate(benchmark, workload, name):
     x, y = workload
     result = benchmark(
-        lambda: RDGBG(rho=5, random_state=0, backend=backend).generate(x, y)
+        lambda: GENERATORS[name](rho=5, random_state=0).generate(x, y)
     )
     assert result.ball_set.is_partition()
 
@@ -65,36 +70,36 @@ def test_bench_rdgbg_scaling(benchmark, factor):
 
 
 def test_bench_engine_speedup_smoke(workload):
-    """Engine must beat legacy on the shared workload (and stay bit-exact)."""
+    """Engine must beat the oracle on the shared workload (and stay bit-exact)."""
     x, y = workload
-    timings = _time_backends(x, y, rounds=2)
+    timings = _time_generators(x, y, rounds=2)
     assert timings["parity"]
-    assert timings["engine"] < timings["legacy"]
+    assert timings["engine"] < timings["reference"]
 
 
 # ----------------------------------------------------------------------
-# script mode: legacy-vs-engine speedup report
+# script mode: reference-vs-engine speedup report
 # ----------------------------------------------------------------------
 
 
-def _time_backends(x, y, rounds: int = 3) -> dict:
-    """Best-of-``rounds`` wall time per backend plus a bit-parity check."""
+def _time_generators(x, y, rounds: int = 3) -> dict:
+    """Best-of-``rounds`` wall time per generator plus a bit-parity check."""
     out: dict = {}
     results = {}
-    for backend in ("legacy", "engine"):
+    for name, generator in GENERATORS.items():
         best = np.inf
         for _ in range(rounds):
-            gen = RDGBG(rho=5, random_state=0, backend=backend)
+            gen = generator(rho=5, random_state=0)
             t0 = time.perf_counter()
-            results[backend] = gen.generate(x, y)
+            results[name] = gen.generate(x, y)
             best = min(best, time.perf_counter() - t0)
-        out[backend] = best
-    a, b = results["legacy"].ball_set, results["engine"].ball_set
+        out[name] = best
+    a, b = results["reference"].ball_set, results["engine"].ball_set
     out["parity"] = bool(
         np.array_equal(a.radii, b.radii)
         and np.array_equal(a.member_indices, b.member_indices)
         and np.array_equal(
-            results["legacy"].noise_indices, results["engine"].noise_indices
+            results["reference"].noise_indices, results["engine"].noise_indices
         )
     )
     out["n_balls"] = len(a)
@@ -102,7 +107,7 @@ def _time_backends(x, y, rounds: int = 3) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="RD-GBG backend speedup report")
+    parser = argparse.ArgumentParser(description="RD-GBG engine speedup report")
     parser.add_argument(
         "--factors",
         type=float,
@@ -120,22 +125,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     lines = [
-        "RD-GBG legacy vs engine backend (best of "
+        "RD-GBG full-sort reference vs engine (best of "
         f"{args.rounds}, S10 surrogate, rho=5, seed=0)",
-        f"{'n':>7s} {'balls':>6s} {'legacy [s]':>11s} {'engine [s]':>11s} "
+        f"{'n':>7s} {'balls':>6s} {'ref [s]':>11s} {'engine [s]':>11s} "
         f"{'speedup':>8s} {'parity':>7s}",
     ]
     last_speedup = None
     for factor in args.factors:
         x, y = load_dataset("S10", size_factor=factor, random_state=0)
-        t = _time_backends(x, y, rounds=args.rounds)
-        last_speedup = t["legacy"] / t["engine"]
+        t = _time_generators(x, y, rounds=args.rounds)
+        last_speedup = t["reference"] / t["engine"]
         lines.append(
-            f"{x.shape[0]:7d} {t['n_balls']:6d} {t['legacy']:11.3f} "
+            f"{x.shape[0]:7d} {t['n_balls']:6d} {t['reference']:11.3f} "
             f"{t['engine']:11.3f} {last_speedup:7.2f}x {str(t['parity']):>7s}"
         )
         if not t["parity"]:
-            lines.append("PARITY FAILURE: backends disagree — see engine tests")
+            lines.append("PARITY FAILURE: engine and oracle disagree — "
+                         "see tests/property/test_engine_parity.py")
             print("\n".join(lines))
             return 1
 

@@ -19,11 +19,13 @@ import inspect
 
 import numpy as np
 
+from repro.preprocessing import check_labels
+
 __all__ = ["BaseClassifier", "clone", "check_fit_inputs", "validate_fitted"]
 
 
 def check_fit_inputs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonicalise training inputs: float64 features, intp labels."""
+    """Canonicalise training inputs: float64 features, integer labels."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2:
@@ -34,9 +36,7 @@ def check_fit_inputs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
         raise ValueError("cannot fit on an empty dataset")
     if not np.isfinite(x).all():
         raise ValueError("x contains NaN or infinite values")
-    if not np.issubdtype(y.dtype, np.integer):
-        y = y.astype(np.intp)
-    return x, y
+    return x, check_labels(y)
 
 
 def validate_fitted(estimator: "BaseClassifier") -> None:

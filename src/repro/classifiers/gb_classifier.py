@@ -32,9 +32,6 @@ class GranularBallClassifier(BaseClassifier):
         Keep the radius-0 orphan balls in the decision rule.  Orphans carry
         low-density/leftover samples; excluding them (the default keeps
         them) yields a smoother but less complete decision surface.
-    backend:
-        Granulation backend forwarded to :class:`RDGBG` (``"engine"`` or
-        ``"legacy"``; see :mod:`repro.core.engine`).
 
     Attributes
     ----------
@@ -49,19 +46,15 @@ class GranularBallClassifier(BaseClassifier):
         rho: int = 5,
         random_state: int | None = None,
         include_orphans: bool = True,
-        backend: str = "engine",
     ):
         self.rho = int(rho)
         self.random_state = random_state
         self.include_orphans = bool(include_orphans)
-        self.backend = str(backend)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GranularBallClassifier":
         x, y = check_fit_inputs(x, y)
         self._encode_labels(y)
-        result = RDGBG(
-            rho=self.rho, random_state=self.random_state, backend=self.backend
-        ).generate(x, y)
+        result = RDGBG(rho=self.rho, random_state=self.random_state).generate(x, y)
         ball_set = result.ball_set
         if not self.include_orphans:
             keep = ~ball_set.orphan_mask

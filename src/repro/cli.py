@@ -51,6 +51,7 @@ import numpy as np
 from repro.core.gbabs import GBABS
 from repro.core.rdgbg import RDGBG
 from repro.datasets import imbalance_ratio
+from repro.preprocessing import check_labels
 from repro.sampling import SAMPLER_NAMES, make_sampler
 
 __all__ = ["main", "load_csv", "save_csv"]
@@ -78,9 +79,7 @@ def load_csv(path, label_column: int = -1) -> tuple[np.ndarray, np.ndarray]:
     label_column = label_column % data.shape[1]
     y = data[:, label_column]
     x = np.delete(data, label_column, axis=1)
-    if not np.allclose(y, np.round(y)):
-        raise ValueError("label column must contain integer class labels")
-    return x, y.astype(np.intp)
+    return x, check_labels(y)
 
 
 def save_csv(path, x: np.ndarray, y: np.ndarray) -> None:
@@ -94,7 +93,6 @@ def _cmd_sample(args) -> int:
     kwargs: dict = {"random_state": args.seed}
     if args.method == "gbabs":
         kwargs["rho"] = args.rho
-        kwargs["backend"] = args.backend
         if args.projection_dims:
             kwargs["projection_dims"] = args.projection_dims
     if args.method in ("srs", "systematic", "stratified"):
@@ -125,17 +123,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_granulate(args) -> int:
     x, y = load_csv(args.csv, args.label_column)
-    generator = RDGBG(rho=args.rho, random_state=args.seed, backend=args.backend)
-    if args.batch_size is not None:
-        try:
-            result = generator.generate_batches(x, y, batch_size=args.batch_size)
-        except ValueError as exc:
-            # e.g. batch_size < 1; the engine owns the validation rule.
-            raise SystemExit(f"granulate: {exc}")
-    else:
-        result = generator.generate(x, y)
+    result = RDGBG(rho=args.rho, random_state=args.seed).generate(x, y)
     summary = result.ball_set.summary()
-    print(f"RD-GBG [{args.backend}] on {x.shape[0]} samples:")
+    print(f"RD-GBG on {x.shape[0]} samples:")
     for key, value in summary.items():
         print(f"  {key:12s} {value}")
     print(f"  noise        {result.noise_indices.size}")
@@ -184,7 +174,6 @@ def _cmd_freeze(args) -> int:
         rho=args.rho,
         random_state=args.seed,
         include_orphans=not args.no_orphans,
-        backend=args.backend,
     ).fit(x, y)
     header = clf.freeze(args.out)
     meta = header["meta"]
@@ -283,7 +272,7 @@ def _cmd_info(args) -> int:
     print(f"features: {x.shape[1]}")
     print(f"classes:  {classes.size} {dict(zip(classes.tolist(), counts.tolist()))}")
     print(f"IR:       {imbalance_ratio(y):.2f}")
-    probe = GBABS(rho=args.rho, random_state=args.seed, backend=args.backend)
+    probe = GBABS(rho=args.rho, random_state=args.seed)
     probe.fit_resample(x, y)
     print(f"GBABS sampling ratio at rho={args.rho}: "
           f"{probe.report_.sampling_ratio:.2%}")
@@ -300,10 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--rho", type=int, default=5,
                        help="density tolerance for GB methods")
-        p.add_argument("--backend", choices=("engine", "legacy"),
-                       default="engine",
-                       help="granulation backend (bit-identical results; "
-                            "'engine' is the vectorised default)")
 
     p_sample = sub.add_parser("sample", help="resample a dataset")
     common(p_sample)
@@ -319,9 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gran = sub.add_parser("granulate", help="run RD-GBG and report the balls")
     common(p_gran)
     p_gran.add_argument("--save", default=None, help="write ball set .npz here")
-    p_gran.add_argument("--batch-size", type=int, default=None,
-                        help="granulate in chunks of this many samples "
-                             "(bounded memory; no cross-chunk overlap checks)")
     p_gran.set_defaults(func=_cmd_granulate)
 
     p_info = sub.add_parser("info", help="dataset profile + GBABS ratio probe")

@@ -9,27 +9,20 @@ The public surface of this package is:
   generation (Algorithm 1 of the paper).
 * :class:`~repro.core.gbabs.GBABS` — granular-ball approximate borderline
   sampling (Algorithm 2 of the paper).
-* :mod:`repro.core.engine` — the vectorised execution layer under RD-GBG:
-  :class:`~repro.core.engine.GranulationBackend` (pluggable strategies),
-  :class:`~repro.core.engine.GranularBallSetBuilder` (SoA ball storage) and
-  the indexed default backend shared by sampling, classifiers and the CLI.
+* :mod:`repro.core.engine` — the vectorised data structures RD-GBG runs
+  on, among them :class:`~repro.core.engine.GranularBallSetBuilder` (SoA
+  ball storage).
 """
 
 from repro.core.granular_ball import GranularBall, GranularBallSet
 from repro.core.neighbors import NearestNeighbors, pairwise_distances
 from repro.core.rdgbg import RDGBG, RDGBGResult
-from repro.core.engine import (
-    GranulationBackend,
-    GranularBallSetBuilder,
-    get_backend,
-    register_backend,
-)
+from repro.core.engine import GranularBallSetBuilder
 from repro.core.gbabs import GBABS, BorderlineReport
 
 __all__ = [
     "GranularBall",
     "GranularBallSet",
-    "GranulationBackend",
     "GranularBallSetBuilder",
     "NearestNeighbors",
     "pairwise_distances",
@@ -37,6 +30,4 @@ __all__ = [
     "RDGBGResult",
     "GBABS",
     "BorderlineReport",
-    "get_backend",
-    "register_backend",
 ]

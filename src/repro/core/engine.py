@@ -1,10 +1,11 @@
-"""Vectorised granulation engine: the execution layer under RD-GBG.
+"""Vectorised granulation engine: the data structures under RD-GBG.
 
-The reference implementation of Algorithm 1 (``RDGBG._generate_legacy``)
-recomputes a full-pool distance scan and ``argsort`` per candidate centre and
-rebuilds a ``vstack``-ed centre matrix per conflict-radius query, giving
-``O(m·n·(p + log n))`` with large constant factors.  This module supplies the
-engine that the default ``backend="engine"`` path runs on instead:
+A straight-line reading of Algorithm 1 recomputes a full-pool distance scan
+and ``argsort`` per candidate centre and rebuilds a ``vstack``-ed centre
+matrix per conflict-radius query, giving ``O(m·n·(p + log n))`` with large
+constant factors (``tests/core/reference_rdgbg.py`` keeps that reading as the
+parity oracle).  :meth:`repro.core.rdgbg.RDGBG.generate` runs on these
+structures instead:
 
 * :class:`GranularBallSetBuilder` — incremental struct-of-arrays ball
   storage (centre matrix, radius/label vectors, flattened member indices),
@@ -18,17 +19,13 @@ engine that the default ``backend="engine"`` path runs on instead:
   distances are estimated from the norm cache, a conservatively slacked
   threshold (see :func:`_prefix_slack`) picks a candidate superset, and only
   that superset gets the exact ``distances_to`` kernel + stable sort.  The
-  returned prefix is bit-identical to the head of the legacy full
+  returned prefix is bit-identical to the head of a full stable
   ``argsort`` — including duplicate-distance tie order — which is what makes
-  the engine's output reproducible against the reference path;
+  the output reproducible against the full-sort oracle;
 * :class:`BallCenterIndex` — conflict-radius (``r_conf``, Eqs. 4–6) queries
   over existing ball centres served by a cKDTree rebuilt amortised, with the
   final gap always recomputed by the exact kernel so the clipped radii match
-  the legacy floats;
-* :class:`GranulationBackend` — the protocol new generation strategies
-  implement, plus :func:`register_backend`/:func:`get_backend`;
-* :func:`generate_in_batches` — chunked granulation for datasets that do
-  not fit a single shrinking-pool pass.
+  a linear scan's floats.
 
 Exactness argument for the prefix selection: for every pool row the
 estimated squared distance ``||x_i||² - 2·x_i·c + ||c||²`` differs from the
@@ -48,19 +45,12 @@ from scipy.spatial import cKDTree
 
 from repro.core.granular_ball import GranularBallSet
 from repro.core.neighbors import distances_to
-from repro.core.rdgbg import RDGBGResult
 
 __all__ = [
-    "GranulationBackend",
     "GranularBallSetBuilder",
     "ShrinkingPool",
     "CandidateScan",
     "BallCenterIndex",
-    "LegacyBackend",
-    "VectorisedBackend",
-    "register_backend",
-    "get_backend",
-    "generate_in_batches",
 ]
 
 
@@ -78,8 +68,8 @@ class GranularBallSetBuilder:
     """Incrementally grows struct-of-arrays granular-ball storage.
 
     Centre/radius/label arrays grow by doubling; member index chunks are
-    concatenated once at :meth:`build`.  Both granulation backends and the
-    batch merger use this instead of accumulating ``GranularBall`` objects.
+    concatenated once at :meth:`build`, so generation never accumulates
+    ``GranularBall`` objects.
     """
 
     def __init__(self, n_features: int, n_source_samples: int, capacity: int = 128):
@@ -145,7 +135,7 @@ class ShrinkingPool:
     of the pool is dead, so removal is O(#removed) amortised while the
     feature block stays contiguous for the BLAS estimate kernel.  The
     ascending index order is load-bearing: it is what makes stable sorts
-    over pool slices reproduce the legacy tie order.
+    over pool slices reproduce the full-sort tie order.
     """
 
     def __init__(self, x: np.ndarray):
@@ -191,7 +181,7 @@ class CandidateScan:
     Estimates all squared distances with the pool's norm cache (one BLAS
     matvec), then serves exact ``(distance, index)``-sorted prefixes of any
     requested length from a slack-guarded candidate superset.  Prefixes are
-    bit-identical to the head of the legacy full sort (see the module
+    bit-identical to the head of a full stable sort (see the module
     docstring for the exactness argument).
     """
 
@@ -220,8 +210,8 @@ class CandidateScan:
         """Exact sorted prefix of length >= min(k, n_available).
 
         Returns ``(global_indices, distances)`` ordered exactly as the head
-        of the legacy stable full ``argsort``, extended through any distance
-        ties at the boundary.
+        of a stable full ``argsort``, extended through any distance ties at
+        the boundary.
         """
         navail = self.n_available
         k = min(int(k), navail)
@@ -236,10 +226,10 @@ class CandidateScan:
             cand = np.flatnonzero(self._approx <= t0 + 2.0 * self._slack)
             cutoff = float(np.sqrt(t0 + self._slack))
         # The shared exact kernel keeps the floats structurally coupled to
-        # the legacy path — bit-parity must not hinge on a private copy.
+        # the full-sort oracle — bit-parity must not hinge on a private copy.
         dist = distances_to(self._center, pool.x[cand])
         # cand is ascending in global index, so a stable sort on distance
-        # reproduces the legacy (distance, index) tie order exactly.
+        # reproduces the full sort's (distance, index) tie order exactly.
         order = np.argsort(dist, kind="stable")
         dist = dist[order]
         cand = cand[order]
@@ -257,7 +247,7 @@ class BallCenterIndex:
     directly, large sets go through a cKDTree rebuilt amortised (whenever
     the unindexed tail outgrows the indexed part).  Pruned candidates are
     always re-measured with the exact kernel, so the returned minimum gap
-    is bit-identical to the legacy linear scan.
+    is bit-identical to a linear scan.
     """
 
     _FULL_SCAN_BELOW = 192
@@ -286,8 +276,8 @@ class BallCenterIndex:
     def conflict_radius(self, c: np.ndarray) -> float:
         """``min_i dist(c, c_i) - r_i`` over all registered balls.
 
-        Exactly equals ``(distances_to(c, centers) - radii).min()`` of the
-        legacy path: the tree only prunes, never measures.
+        Exactly equals ``(distances_to(c, centers) - radii).min()``: the
+        tree only prunes, never measures.
         """
         m = self._m
         if m == 0:
@@ -322,227 +312,3 @@ class BallCenterIndex:
                 gaps = distances_to(c, centers[cand_arr]) - radii[cand_arr]
                 best = min(best, float(gaps.min()))
         return best
-
-
-# ----------------------------------------------------------------------
-# backends
-# ----------------------------------------------------------------------
-
-
-class GranulationBackend:
-    """Protocol for granulation execution strategies.
-
-    A backend turns a configured generator (the parameter object — rho,
-    random_state, detect_noise, enforce_no_overlap) plus a validated
-    dataset into an :class:`~repro.core.rdgbg.RDGBGResult`.  Register new
-    strategies with :func:`register_backend`; ``RDGBG(backend=name)``
-    resolves them by name.
-    """
-
-    name: str = "abstract"
-
-    def run(self, generator, x: np.ndarray, y: np.ndarray) -> RDGBGResult:
-        raise NotImplementedError
-
-
-class LegacyBackend(GranulationBackend):
-    """The reference straight-line implementation (semantic ground truth)."""
-
-    name = "legacy"
-
-    def run(self, generator, x: np.ndarray, y: np.ndarray) -> RDGBGResult:
-        return generator._generate_legacy(x, y)
-
-
-class VectorisedBackend(GranulationBackend):
-    """Indexed RD-GBG on SoA state; bit-identical to :class:`LegacyBackend`."""
-
-    name = "engine"
-
-    # Initial prefix length; must exceed rho so the detection rules see the
-    # same effective neighbourhood as the legacy full sort.
-    _MIN_PREFIX = 32
-
-    def run(self, generator, x: np.ndarray, y: np.ndarray) -> RDGBGResult:
-        n, p = x.shape
-        rng = np.random.default_rng(generator.random_state)
-        in_u = np.ones(n, dtype=bool)
-        in_l = np.zeros(n, dtype=bool)
-        is_noise = np.zeros(n, dtype=bool)
-
-        builder = GranularBallSetBuilder(p, n)
-        pool = ShrinkingPool(x)
-        index = BallCenterIndex(p) if generator.enforce_no_overlap else None
-        slack_coeff = _prefix_slack(p)
-
-        n_iterations = 0
-        while True:
-            t_idx = np.flatnonzero(in_u & ~in_l)
-            if t_idx.size == 0:
-                break
-            n_iterations += 1
-            for ci in generator._draw_candidates(t_idx, y, rng):
-                if not in_u[ci] or in_l[ci]:
-                    continue
-                self._process_candidate(
-                    generator, ci, x, y, in_u, in_l, is_noise,
-                    pool, index, builder, slack_coeff,
-                )
-
-        orphan_idx = np.flatnonzero(in_u)
-        for oi in orphan_idx:
-            builder.add(x[oi].copy(), 0.0, int(y[oi]), np.array([oi], dtype=np.intp))
-
-        return RDGBGResult(
-            ball_set=builder.build(),
-            noise_indices=np.flatnonzero(is_noise),
-            orphan_indices=orphan_idx,
-            n_iterations=n_iterations,
-        )
-
-    def _process_candidate(
-        self,
-        generator,
-        ci: int,
-        x: np.ndarray,
-        y: np.ndarray,
-        in_u: np.ndarray,
-        in_l: np.ndarray,
-        is_noise: np.ndarray,
-        pool: ShrinkingPool,
-        index: BallCenterIndex | None,
-        builder: GranularBallSetBuilder,
-        slack_coeff: float,
-    ) -> None:
-        if pool.n_alive <= 1:
-            in_l[ci] = True
-            return
-
-        scan = CandidateScan(pool, ci, slack_coeff)
-        k = max(generator.rho + 1, self._MIN_PREFIX)
-        sorted_idx, sorted_dist = scan.prefix(k)
-        y_ci = y[ci]
-
-        if y[sorted_idx[0]] != y_ci:
-            nn = int(sorted_idx[0])
-            verdict, sorted_idx, sorted_dist = generator._detect_center(
-                ci, y, in_u, in_l, is_noise, sorted_idx, sorted_dist
-            )
-            if is_noise[ci]:
-                pool.kill(np.array([ci], dtype=np.intp))
-                return
-            if not verdict:
-                return
-            # h == 1: the nearest neighbour was removed as noise; the
-            # shortened arrays are exactly the prefix of the updated pool.
-            scan.exclude(nn)
-            pool.kill(np.array([nn], dtype=np.intp), compact=False)
-            if sorted_idx.size == 0:
-                in_l[ci] = True
-                return
-
-        # Extend the prefix until it contains the first heterogeneous
-        # neighbour (which bounds the homogeneous run ω) or covers the pool.
-        while True:
-            homo = y[sorted_idx] == y_ci
-            if not homo.all():
-                omega = int(np.argmin(homo))
-                break
-            if sorted_idx.size >= scan.n_available:
-                omega = int(homo.size)
-                break
-            k = min(k * 4, scan.n_available)
-            sorted_idx, sorted_dist = scan.prefix(k)
-
-        if omega == 0:
-            in_l[ci] = True
-            return
-
-        r_conf = index.conflict_radius(x[ci]) if index is not None else np.inf
-        radius = generator._clip_radius(sorted_dist, omega, r_conf)
-        if radius <= 0.0:
-            in_l[ci] = True
-            return
-
-        members = generator._collect_members(ci, sorted_idx, sorted_dist, omega, radius)
-        builder.add(x[ci].copy(), float(radius), int(y_ci), members)
-        if index is not None:
-            index.add(x[ci], float(radius))
-        in_u[members] = False
-        in_l[members] = False
-        pool.kill(members)
-
-
-_BACKENDS: dict[str, GranulationBackend] = {}
-
-
-def register_backend(backend: GranulationBackend) -> None:
-    """Make a :class:`GranulationBackend` resolvable by ``RDGBG(backend=...)``."""
-    _BACKENDS[backend.name] = backend
-
-
-def get_backend(name: str) -> GranulationBackend:
-    """Look up a registered backend by name."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(_BACKENDS))
-        raise ValueError(f"unknown granulation backend {name!r}; known: {known}")
-
-
-register_backend(LegacyBackend())
-register_backend(VectorisedBackend())
-
-
-# ----------------------------------------------------------------------
-# chunked generation
-# ----------------------------------------------------------------------
-
-
-def generate_in_batches(generator, x: np.ndarray, y: np.ndarray, *, batch_size: int) -> RDGBGResult:
-    """Granulate ``(x, y)`` chunk by chunk and merge into one result.
-
-    Chunk ``i`` runs the generator's configured backend on rows
-    ``[i·batch_size, (i+1)·batch_size)`` with seed ``random_state + i``
-    (when a seed is set), so memory stays bounded by the chunk size.  Member
-    /noise/orphan indices are remapped to the global dataset.  Purity and
-    the per-chunk partition/no-overlap invariants carry over; balls from
-    different chunks may overlap.
-    """
-    batch_size = int(batch_size)
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    n, p = x.shape
-    builder = GranularBallSetBuilder(p, n)
-    noise_parts: list[np.ndarray] = []
-    orphan_parts: list[np.ndarray] = []
-    n_iterations = 0
-    for bi, start in enumerate(range(0, n, batch_size)):
-        stop = min(start + batch_size, n)
-        seed = None if generator.random_state is None else generator.random_state + bi
-        sub = type(generator)(
-            rho=generator.rho,
-            random_state=seed,
-            detect_noise=generator.detect_noise,
-            enforce_no_overlap=generator.enforce_no_overlap,
-            backend=generator.backend,
-        )
-        result = sub.generate(x[start:stop], y[start:stop])
-        ball_set = result.ball_set
-        for i in range(len(ball_set)):
-            builder.add(
-                ball_set.centers[i],
-                float(ball_set.radii[i]),
-                int(ball_set.labels[i]),
-                ball_set.members_of(i) + start,
-            )
-        noise_parts.append(result.noise_indices + start)
-        orphan_parts.append(result.orphan_indices + start)
-        n_iterations += result.n_iterations
-    empty = np.empty(0, dtype=np.intp)
-    return RDGBGResult(
-        ball_set=builder.build(),
-        noise_indices=np.concatenate(noise_parts) if noise_parts else empty,
-        orphan_indices=np.concatenate(orphan_parts) if orphan_parts else empty,
-        n_iterations=n_iterations,
-    )

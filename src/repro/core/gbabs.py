@@ -94,14 +94,10 @@ class GBABS:
         directions instead of the ``p`` feature axes — the high-dimensional
         speed-up sketched as future work in the paper's conclusion.
         ``None`` (default) reproduces the paper's axis scan exactly.
-    backend:
-        Granulation backend forwarded to :class:`RDGBG` (``"engine"`` or
-        ``"legacy"``; see :mod:`repro.core.engine`).  Both produce
-        bit-identical balls, hence bit-identical samples.
     generator:
         Optional pre-configured :class:`RDGBG` instance; overrides ``rho`` /
-        ``random_state`` / ``backend`` when given (used by the ablation
-        benchmarks).
+        ``random_state`` for granulation when given (used by the ablation
+        benchmarks, and by the parity tests to run the full-sort oracle).
 
     Attributes
     ----------
@@ -123,7 +119,6 @@ class GBABS:
         random_state: int | None = None,
         sample_all_balls: bool = False,
         projection_dims: int | None = None,
-        backend: str = "engine",
         generator: RDGBG | None = None,
     ):
         if projection_dims is not None and projection_dims < 1:
@@ -132,7 +127,6 @@ class GBABS:
         self.random_state = random_state
         self.sample_all_balls = bool(sample_all_balls)
         self.projection_dims = projection_dims
-        self.backend = str(backend)
         self.generator = generator
 
         self.sample_indices_: np.ndarray | None = None
@@ -147,9 +141,7 @@ class GBABS:
         """Run Algorithm 2 and return the borderline-sampled dataset."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y)
-        generator = self.generator or RDGBG(
-            rho=self.rho, random_state=self.random_state, backend=self.backend
-        )
+        generator = self.generator or RDGBG(rho=self.rho, random_state=self.random_state)
         result = generator.generate(x, y)
         self.rdgbg_result_ = result
         self.ball_set_ = result.ball_set

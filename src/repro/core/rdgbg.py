@@ -20,19 +20,14 @@ Two ablation switches mirror the design choices the paper motivates:
 ``enforce_no_overlap=False`` drops the conflict-radius clipping (recovering
 the overlap behaviour of earlier GBG methods).
 
-Two execution backends produce bit-identical results under a fixed seed:
-
-* ``backend="legacy"`` — the straight-line reference implementation below
-  (full-pool distance scan + ``argsort`` per candidate, centre matrix
-  rebuilt per conflict query); kept as the semantic ground truth.
-* ``backend="engine"`` (default) — the vectorised engine of
-  :mod:`repro.core.engine`: struct-of-arrays ball storage, a squared-norm
-  cached shrinking-pool distance kernel with tie-exact prefix selection, and
-  a spatial index over ball centres for conflict-radius queries.
-
-The candidate-selection rules (`_detect_center`), the radius clipping
-(`_clip_radius`) and member collection (`_collect_members`) are shared by
-both backends, so the engine cannot drift from the reference semantics.
+``generate`` runs on the data structures of :mod:`repro.core.engine`:
+struct-of-arrays ball storage, a squared-norm cached shrinking-pool distance
+kernel with tie-exact prefix selection, and a spatial index over ball centres
+for conflict-radius queries.  The candidate-selection rules
+(`_detect_center`), the radius clipping (`_clip_radius`) and member
+collection (`_collect_members`) are the algorithm's rule kernels; the
+straight-line full-sort implementation in ``tests/core/reference_rdgbg.py``
+inherits them and is the bit-parity oracle for this loop.
 """
 
 from __future__ import annotations
@@ -41,13 +36,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.granular_ball import GranularBall, GranularBallSet
-from repro.core.neighbors import distances_to
+from repro.core.engine import (
+    BallCenterIndex,
+    CandidateScan,
+    GranularBallSetBuilder,
+    ShrinkingPool,
+    _prefix_slack,
+)
+from repro.core.granular_ball import GranularBallSet
+from repro.preprocessing import check_labels
 
 __all__ = ["RDGBG", "RDGBGResult"]
 
 # Relative slack applied when collecting members at distance exactly r.
 _RADIUS_RTOL = 1e-12
+
+# Initial neighbour-prefix length; must exceed rho so the detection rules see
+# the same effective neighbourhood as a full sort of the pool.
+_MIN_PREFIX = 32
 
 
 @dataclass
@@ -92,10 +98,6 @@ class RDGBG:
     enforce_no_overlap:
         Clip radii by the conflict radius so balls never overlap.  Disabling
         this is ablation A1.
-    backend:
-        Execution backend: ``"engine"`` (vectorised, default) or
-        ``"legacy"`` (reference).  Both yield bit-identical results for the
-        same seed; see :mod:`repro.core.engine` for registering others.
     """
 
     def __init__(
@@ -104,7 +106,6 @@ class RDGBG:
         random_state: int | None = None,
         detect_noise: bool = True,
         enforce_no_overlap: bool = True,
-        backend: str = "engine",
     ):
         if rho < 2:
             raise ValueError("rho must be >= 2 so the detection rules are distinct")
@@ -112,7 +113,6 @@ class RDGBG:
         self.random_state = random_state
         self.detect_noise = bool(detect_noise)
         self.enforce_no_overlap = bool(enforce_no_overlap)
-        self.backend = str(backend)
 
     # ------------------------------------------------------------------
     # public API
@@ -133,57 +133,16 @@ class RDGBG:
         RDGBGResult
         """
         x, y = self._validate(x, y)
-        from repro.core.engine import get_backend
-
-        return get_backend(self.backend).run(self, x, y)
-
-    def generate_batches(
-        self, x: np.ndarray, y: np.ndarray, batch_size: int
-    ) -> RDGBGResult:
-        """Granulate ``(x, y)`` in contiguous chunks and merge the results.
-
-        For datasets too large for a single shrinking-pool pass, each chunk
-        of ``batch_size`` samples is granulated independently (chunk ``i``
-        uses ``random_state + i`` when a seed is set) and the per-chunk
-        results are merged with member/noise/orphan indices mapped back to
-        the global dataset.  Purity and the within-chunk partition/no-overlap
-        guarantees are preserved; balls from *different* chunks may overlap,
-        which is the price of never holding more than one chunk's pool.
-        """
-        x, y = self._validate(x, y)
-        from repro.core.engine import generate_in_batches
-
-        return generate_in_batches(self, x, y, batch_size=batch_size)
-
-    def _validate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y)
-        if x.ndim != 2:
-            raise ValueError("x must be a 2-D feature matrix")
-        if y.shape != (x.shape[0],):
-            raise ValueError("y must be 1-D and aligned with x")
-        if x.shape[0] == 0:
-            raise ValueError("cannot granulate an empty dataset")
-        if not np.isfinite(x).all():
-            raise ValueError("x contains NaN or infinite values")
-        return x, y
-
-    # ------------------------------------------------------------------
-    # legacy reference backend
-    # ------------------------------------------------------------------
-
-    def _generate_legacy(self, x: np.ndarray, y: np.ndarray) -> RDGBGResult:
-        """The straight-line reference implementation of Algorithm 1."""
-        n = x.shape[0]
+        n, p = x.shape
         rng = np.random.default_rng(self.random_state)
         in_u = np.ones(n, dtype=bool)       # undivided sample set U
         in_l = np.zeros(n, dtype=bool)      # low-density sample set L (⊆ U)
         is_noise = np.zeros(n, dtype=bool)  # removed as class noise
 
-        balls: list[GranularBall] = []
-        # Parallel arrays of existing ball geometry for fast r_conf queries.
-        centers: list[np.ndarray] = []
-        radii: list[float] = []
+        builder = GranularBallSetBuilder(p, n)
+        pool = ShrinkingPool(x)
+        index = BallCenterIndex(p) if self.enforce_no_overlap else None
+        slack_coeff = _prefix_slack(p)
 
         n_iterations = 0
         while True:
@@ -196,31 +155,110 @@ class RDGBG:
                     # Swallowed by a ball generated earlier in this round.
                     continue
                 self._process_candidate(
-                    ci, x, y, in_u, in_l, is_noise, balls, centers, radii
+                    ci, x, y, in_u, in_l, is_noise, pool, index, builder, slack_coeff
                 )
 
         # Completeness: leftover (all low-density) samples become orphan GBs.
         orphan_idx = np.flatnonzero(in_u)
         for oi in orphan_idx:
-            balls.append(
-                GranularBall(
-                    center=x[oi].copy(),
-                    radius=0.0,
-                    label=int(y[oi]),
-                    indices=np.array([oi], dtype=np.intp),
-                )
-            )
+            builder.add(x[oi].copy(), 0.0, int(y[oi]), np.array([oi], dtype=np.intp))
 
         return RDGBGResult(
-            ball_set=GranularBallSet(balls, n_source_samples=n),
+            ball_set=builder.build(),
             noise_indices=np.flatnonzero(is_noise),
             orphan_indices=orphan_idx,
             n_iterations=n_iterations,
         )
 
+    def _validate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y)
+        if x.ndim != 2:
+            raise ValueError("x must be a 2-D feature matrix")
+        if y.shape != (x.shape[0],):
+            raise ValueError("y must be 1-D and aligned with x")
+        if x.shape[0] == 0:
+            raise ValueError("cannot granulate an empty dataset")
+        if not np.isfinite(x).all():
+            raise ValueError("x contains NaN or infinite values")
+        return x, check_labels(y)
+
     # ------------------------------------------------------------------
-    # internals shared with the engine backend
+    # internals
     # ------------------------------------------------------------------
+
+    def _process_candidate(
+        self,
+        ci: int,
+        x: np.ndarray,
+        y: np.ndarray,
+        in_u: np.ndarray,
+        in_l: np.ndarray,
+        is_noise: np.ndarray,
+        pool: ShrinkingPool,
+        index: BallCenterIndex | None,
+        builder: GranularBallSetBuilder,
+        slack_coeff: float,
+    ) -> None:
+        """Centre detection + ball construction for a single candidate."""
+        if pool.n_alive <= 1:
+            in_l[ci] = True
+            return
+
+        scan = CandidateScan(pool, ci, slack_coeff)
+        k = max(self.rho + 1, _MIN_PREFIX)
+        sorted_idx, sorted_dist = scan.prefix(k)
+        y_ci = y[ci]
+
+        if y[sorted_idx[0]] != y_ci:
+            nn = int(sorted_idx[0])
+            verdict, sorted_idx, sorted_dist = self._detect_center(
+                ci, y, in_u, in_l, is_noise, sorted_idx, sorted_dist
+            )
+            if is_noise[ci]:
+                pool.kill(np.array([ci], dtype=np.intp))
+                return
+            if not verdict:
+                return
+            # h == 1: the nearest neighbour was removed as noise; the
+            # shortened arrays are exactly the prefix of the updated pool.
+            scan.exclude(nn)
+            pool.kill(np.array([nn], dtype=np.intp), compact=False)
+            if sorted_idx.size == 0:
+                in_l[ci] = True
+                return
+
+        # Extend the prefix until it contains the first heterogeneous
+        # neighbour (which bounds the homogeneous run ω) or covers the pool.
+        while True:
+            homo = y[sorted_idx] == y_ci
+            if not homo.all():
+                omega = int(np.argmin(homo))
+                break
+            if sorted_idx.size >= scan.n_available:
+                omega = int(homo.size)
+                break
+            k = min(k * 4, scan.n_available)
+            sorted_idx, sorted_dist = scan.prefix(k)
+
+        if omega == 0:
+            in_l[ci] = True
+            return
+
+        r_conf = index.conflict_radius(x[ci]) if index is not None else np.inf
+        radius = self._clip_radius(sorted_dist, omega, r_conf)
+        if radius <= 0.0:
+            # Centre sits on the edge of the undivided set; defer it.
+            in_l[ci] = True
+            return
+
+        members = self._collect_members(ci, sorted_idx, sorted_dist, omega, radius)
+        builder.add(x[ci].copy(), float(radius), int(y_ci), members)
+        if index is not None:
+            index.add(x[ci], float(radius))
+        in_u[members] = False
+        in_l[members] = False
+        pool.kill(members)
 
     @staticmethod
     def _draw_candidates(
@@ -233,7 +271,7 @@ class RDGBG:
         byte-identical to the boolean-mask selection ``t_idx[y[t_idx] ==
         cls]``, so the RNG consumption (one ``choice`` per class, larger
         classes first, class value breaking count ties) is reproducible
-        across engine versions.
+        across implementations.
         """
         y_t = y[t_idx]
         grouped = np.argsort(y_t, kind="stable")
@@ -249,62 +287,6 @@ class RDGBG:
             pool = t_idx[grouped[starts[j] : starts[j + 1]]]
             candidates.append(int(rng.choice(pool)))
         return candidates
-
-    def _process_candidate(
-        self,
-        ci: int,
-        x: np.ndarray,
-        y: np.ndarray,
-        in_u: np.ndarray,
-        in_l: np.ndarray,
-        is_noise: np.ndarray,
-        balls: list[GranularBall],
-        centers: list[np.ndarray],
-        radii: list[float],
-    ) -> None:
-        """Centre detection + ball construction for a single candidate."""
-        u_idx = np.flatnonzero(in_u)
-        others = u_idx[u_idx != ci]
-        if others.size == 0:
-            in_l[ci] = True
-            return
-
-        dist = distances_to(x[ci], x[others])
-        order = np.argsort(dist, kind="stable")
-        sorted_idx = others[order]
-        sorted_dist = dist[order]
-
-        if y[sorted_idx[0]] != y[ci]:
-            verdict, sorted_idx, sorted_dist = self._detect_center(
-                ci, y, in_u, in_l, is_noise, sorted_idx, sorted_dist
-            )
-            if not verdict:
-                return
-            if sorted_idx.size == 0:
-                in_l[ci] = True
-                return
-
-        radius, omega = self._diffusion_radius(
-            ci, x, y, sorted_idx, sorted_dist, centers, radii
-        )
-        if radius <= 0.0:
-            # Centre sits on the edge of the undivided set; defer it.
-            in_l[ci] = True
-            return
-
-        members = self._collect_members(ci, sorted_idx, sorted_dist, omega, radius)
-        balls.append(
-            GranularBall(
-                center=x[ci].copy(),
-                radius=float(radius),
-                label=int(y[ci]),
-                indices=members,
-            )
-        )
-        centers.append(x[ci])
-        radii.append(float(radius))
-        in_u[members] = False
-        in_l[members] = False
 
     def _detect_center(
         self,
@@ -323,8 +305,9 @@ class RDGBG:
         arrays possibly shortened when the nearest neighbour was removed as
         noise (the ``h == 1`` rule).  ``sorted_idx`` may be any sorted prefix
         of the undivided neighbours as long as it holds at least
-        ``min(rho, pool size)`` entries, which is what lets the engine
-        backend reuse this rule on its partial prefixes.
+        ``min(rho, pool size)`` entries, which is what lets ``generate``
+        apply it to partial prefixes and the full-sort oracle to the
+        whole pool.
         """
         if not self.detect_noise:
             # Without noise handling the candidate simply cannot anchor a
@@ -355,38 +338,6 @@ class RDGBG:
         # 1 < h < ρ: the candidate is a low-density sample.
         in_l[ci] = True
         return False, sorted_idx, sorted_dist
-
-    def _diffusion_radius(
-        self,
-        ci: int,
-        x: np.ndarray,
-        y: np.ndarray,
-        sorted_idx: np.ndarray,
-        sorted_dist: np.ndarray,
-        centers: list[np.ndarray],
-        radii: list[float],
-    ) -> tuple[float, int]:
-        """Radius rule of §IV-B2: ``CR(c)`` clipped by ``r_conf(c)``.
-
-        ``sorted_idx``/``sorted_dist`` list the undivided neighbours of the
-        centre in increasing distance order, nearest first and guaranteed
-        homogeneous.  Returns ``(radius, omega)`` where ``omega`` is the
-        length of the homogeneous neighbour prefix — the caller caps ball
-        membership at ``omega`` so distance ties with heterogeneous
-        neighbours can never break purity.
-        """
-        homo = y[sorted_idx] == y[ci]
-        omega = int(homo.size if homo.all() else np.argmin(homo))
-        if omega == 0:
-            return 0.0, 0
-
-        if self.enforce_no_overlap and centers:
-            center_mat = np.vstack(centers)
-            gap = distances_to(x[ci], center_mat) - np.asarray(radii)
-            r_conf = float(gap.min())
-        else:
-            r_conf = np.inf
-        return self._clip_radius(sorted_dist, omega, r_conf), omega
 
     @staticmethod
     def _clip_radius(sorted_dist: np.ndarray, omega: int, r_conf: float) -> float:

@@ -14,6 +14,7 @@ __all__ = [
     "StandardScaler",
     "MinMaxScaler",
     "LabelEncoder",
+    "check_labels",
     "train_test_split",
 ]
 
@@ -25,6 +26,29 @@ def _check_matrix(x: np.ndarray) -> np.ndarray:
     if x.shape[0] == 0:
         raise ValueError("expected at least one sample")
     return x
+
+
+def check_labels(y) -> np.ndarray:
+    """Class labels as integers, refusing any label a cast would change.
+
+    Integer labels pass through unchanged; bool and whole-number float labels
+    become ``intp``.  Anything else (fractional or non-finite floats,
+    strings, objects) raises ``ValueError``: truncating it would silently
+    merge distinct classes.
+    """
+    y = np.asarray(y)
+    if np.issubdtype(y.dtype, np.integer):
+        return y
+    if y.dtype.kind in "bf":
+        with np.errstate(invalid="ignore"):
+            labels = y.astype(np.intp)
+        if np.array_equal(labels, y):
+            return labels
+    raise ValueError(
+        f"y must hold integer class labels (integer, bool or whole-number "
+        f"float values), not {y.dtype} values that a cast would change; "
+        f"encode them with LabelEncoder first"
+    )
 
 
 class StandardScaler:

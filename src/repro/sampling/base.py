@@ -13,6 +13,8 @@ import abc
 
 import numpy as np
 
+from repro.preprocessing import check_labels
+
 __all__ = ["BaseSampler", "IdentitySampler", "check_xy"]
 
 
@@ -20,7 +22,8 @@ def check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate and canonicalise a labelled dataset.
 
     Returns float64 features and an integer label vector; raises
-    ``ValueError`` on shape mismatches or empty input.
+    ``ValueError`` on shape mismatches, empty input or labels that are not
+    whole numbers (see :func:`repro.preprocessing.check_labels`).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -32,9 +35,7 @@ def check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("cannot sample an empty dataset")
     if not np.isfinite(x).all():
         raise ValueError("x contains NaN or infinite values")
-    if not np.issubdtype(y.dtype, np.integer):
-        y = y.astype(np.intp)
-    return x, y
+    return x, check_labels(y)
 
 
 class BaseSampler(abc.ABC):

@@ -316,7 +316,6 @@ def freeze_classifier(clf, path) -> dict:
             "rho": int(clf.rho),
             "random_state": clf.random_state,
             "include_orphans": bool(clf.include_orphans),
-            "backend": str(clf.backend),
         },
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }

@@ -7,48 +7,12 @@ from repro.core.engine import (
     BallCenterIndex,
     CandidateScan,
     GranularBallSetBuilder,
-    LegacyBackend,
     ShrinkingPool,
-    VectorisedBackend,
     _prefix_slack,
-    get_backend,
-    register_backend,
 )
 from repro.core.granular_ball import GranularBallSet
 from repro.core.neighbors import distances_to
 from repro.core.rdgbg import RDGBG
-
-
-class TestBackendRegistry:
-    def test_builtin_backends_resolve(self):
-        assert isinstance(get_backend("legacy"), LegacyBackend)
-        assert isinstance(get_backend("engine"), VectorisedBackend)
-
-    def test_unknown_backend_raises_with_known_names(self):
-        with pytest.raises(ValueError, match="engine"):
-            get_backend("nope")
-
-    def test_rdgbg_rejects_unknown_backend_at_generate(self):
-        x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        y = np.array([0, 0, 1])
-        with pytest.raises(ValueError, match="unknown granulation backend"):
-            RDGBG(backend="bogus").generate(x, y)
-
-    def test_custom_backend_registration(self):
-        class Recording(VectorisedBackend):
-            name = "recording-test"
-            calls = 0
-
-            def run(self, generator, x, y):
-                type(self).calls += 1
-                return super().run(generator, x, y)
-
-        register_backend(Recording())
-        x = np.array([[0.0], [0.1], [5.0], [5.1]])
-        y = np.array([0, 0, 1, 1])
-        result = RDGBG(random_state=0, backend="recording-test").generate(x, y)
-        assert Recording.calls == 1
-        assert result.ball_set.is_partition()
 
 
 class TestGranularBallSetBuilder:
@@ -85,7 +49,7 @@ class TestGranularBallSetBuilder:
 
 class TestShrinkingPoolAndScan:
     def _brute_prefix(self, x, alive_idx, ci, k):
-        """Reference: legacy full sort over the alive pool minus ci."""
+        """Reference: full stable sort over the alive pool minus ci."""
         others = alive_idx[alive_idx != ci]
         dist = distances_to(x[ci], x[others])
         order = np.argsort(dist, kind="stable")
@@ -171,45 +135,6 @@ class TestBallCenterIndex:
                 mat = np.vstack(centers)
                 want = float((distances_to(q, mat) - np.asarray(radii)).min())
                 assert index.conflict_radius(q) == want
-
-
-class TestGenerateBatches:
-    def test_batches_cover_and_stay_pure(self, blobs2):
-        x, y = blobs2
-        result = RDGBG(random_state=0).generate_batches(x, y, batch_size=64)
-        ball_set = result.ball_set
-        assert ball_set.n_source_samples == x.shape[0]
-        assert ball_set.is_partition()
-        assert np.all(ball_set.purity_against(y) == 1.0)
-        covered = set(ball_set.member_indices.tolist())
-        noise = set(result.noise_indices.tolist())
-        assert covered | noise == set(range(x.shape[0]))
-
-    def test_single_batch_equals_plain_generate(self, blobs2):
-        x, y = blobs2
-        whole = RDGBG(random_state=0).generate(x, y)
-        batched = RDGBG(random_state=0).generate_batches(x, y, batch_size=x.shape[0])
-        np.testing.assert_array_equal(
-            whole.ball_set.member_indices, batched.ball_set.member_indices
-        )
-        np.testing.assert_array_equal(whole.ball_set.radii, batched.ball_set.radii)
-        np.testing.assert_array_equal(whole.noise_indices, batched.noise_indices)
-
-    def test_batch_size_validation(self, blobs2):
-        x, y = blobs2
-        with pytest.raises(ValueError, match="batch_size"):
-            RDGBG(random_state=0).generate_batches(x, y, batch_size=0)
-
-    def test_member_indices_are_global(self, blobs3):
-        x, y = blobs3
-        result = RDGBG(random_state=1).generate_batches(x, y, batch_size=50)
-        members = result.ball_set.member_indices
-        assert members.min() >= 0 and members.max() < x.shape[0]
-        # every ball's members must actually lie inside the ball
-        for ball in result.ball_set:
-            if ball.radius > 0:
-                dist = distances_to(ball.center, x[ball.indices])
-                assert np.all(dist <= ball.radius * (1 + 1e-9) + 1e-12)
 
 
 class TestSoABallSetViews:

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.classifiers.base import check_fit_inputs
+from repro.classifiers.tree import DecisionTreeClassifier
+from repro.core.gbabs import GBABS
+from repro.core.rdgbg import RDGBG
 from repro.preprocessing import (
     LabelEncoder,
     MinMaxScaler,
     StandardScaler,
+    check_labels,
     train_test_split,
 )
+from repro.sampling.base import check_xy
+from repro.sampling.srs import SimpleRandomSampler
 
 
 class TestStandardScaler:
@@ -79,6 +86,68 @@ class TestLabelEncoder:
         enc = LabelEncoder().fit([1, 2])
         with pytest.raises(ValueError, match="out of range"):
             enc.inverse_transform(np.array([5]))
+
+
+class TestCheckLabels:
+    """Every labelled-data boundary shares one label check: whole-number
+    labels are accepted as before, anything a cast would change raises."""
+
+    BOUNDARIES = {
+        "check_xy": check_xy,
+        "check_fit_inputs": check_fit_inputs,
+        "RDGBG.generate": lambda x, y: RDGBG(random_state=0).generate(x, y),
+    }
+
+    @pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.2, 0.7], ["a", "b"], [0.0, np.nan], [0.0, 1e20], [None, 1]],
+        ids=["fractional", "strings", "nan", "overflow", "objects"],
+    )
+    def test_non_integer_labels_raise_naming_y(self, boundary, labels):
+        x = np.arange(12, dtype=np.float64).reshape(6, 2)
+        y = np.array(labels * 3)
+        with pytest.raises(ValueError, match="^y must hold integer class labels"):
+            self.BOUNDARIES[boundary](x, y)
+
+    def test_estimators_refuse_fractional_labels(self, blobs2):
+        """Labels {0.2, 0.7} used to collapse into class 0 silently."""
+        x, y = blobs2
+        y = np.where(y == 1, 0.7, 0.2)
+        for estimator in (
+            SimpleRandomSampler(ratio=0.5, random_state=0).fit_resample,
+            DecisionTreeClassifier().fit,
+            GBABS(random_state=0).fit_resample,
+        ):
+            with pytest.raises(ValueError, match="y must hold integer"):
+                estimator(x, y)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16])
+    def test_integer_labels_pass_through(self, dtype):
+        y = np.array([3, 0, 3], dtype=dtype)
+        assert check_labels(y) is y
+
+    @pytest.mark.parametrize("y", [[True, False], [2.0, -1.0], np.array([0.0, 1.0], np.float32)])
+    def test_bool_and_whole_floats_become_intp(self, y):
+        out = check_labels(y)
+        assert out.dtype == np.intp
+        np.testing.assert_array_equal(out, np.asarray(y).astype(np.intp))
+
+    def test_whole_number_labels_give_unchanged_results(self, moons):
+        x, y = moons
+        reference = GBABS(random_state=0)
+        reference.fit_resample(x, y)
+        for alias in (y.astype(np.float64), y.astype(np.int8), y == 1):
+            sampler = GBABS(random_state=0)
+            sampler.fit_resample(x, alias)
+            np.testing.assert_array_equal(
+                sampler.sample_indices_, reference.sample_indices_
+            )
+            np.testing.assert_array_equal(
+                sampler.ball_set_.labels, reference.ball_set_.labels
+            )
+            tree = DecisionTreeClassifier(random_state=0).fit(x, alias)
+            np.testing.assert_array_equal(tree.classes_, [0, 1])
 
 
 class TestTrainTestSplit:

@@ -44,6 +44,10 @@ class TestCsvIO:
         path.write_text("1.0,0.5\n2.0,0.7\n")
         with pytest.raises(ValueError, match="integer class labels"):
             load_csv(path)
+        # Close to a whole number is not one: a cast would truncate 2.99... to 2.
+        path.write_text("1.0,2.9999999999\n2.0,1.0\n")
+        with pytest.raises(ValueError, match="integer class labels"):
+            load_csv(path)
 
 
 class TestCommands:

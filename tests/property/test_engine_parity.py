@@ -1,39 +1,44 @@
-"""Engine/legacy parity: the vectorised backend must be bit-identical.
+"""RD-GBG/oracle parity: the vectorised loop must be bit-identical.
 
-The engine path replaces full-pool sorts with slack-guarded prefix
+``RDGBG.generate`` replaces full-pool sorts with slack-guarded prefix
 selection and linear conflict scans with a spatial index, so these tests
 are the contract that none of that changed a single float: every ball
 (centre, radius, label, member order), every noise/orphan index and the
-iteration count must match the reference backend exactly, across seeds,
-densities and both ablation switches — including tie-heavy quantised data
-where stable sort order is what decides membership.
+iteration count must match the full-sort oracle ``ReferenceRDGBG``
+exactly, across seeds, densities and both ablation switches — including
+tie-heavy quantised data where stable sort order is what decides
+membership.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.gbabs import GBABS
 from repro.core.rdgbg import RDGBG
+from tests.core.reference_rdgbg import ReferenceRDGBG
 
 
 def _run_pair(x, y, **kwargs):
-    legacy = RDGBG(backend="legacy", **kwargs).generate(x, y)
-    engine = RDGBG(backend="engine", **kwargs).generate(x, y)
-    return legacy, engine
+    reference = ReferenceRDGBG(**kwargs).generate(x, y)
+    engine = RDGBG(**kwargs).generate(x, y)
+    return reference, engine
 
 
-def _assert_identical(legacy, engine):
-    a, b = legacy.ball_set, engine.ball_set
+def _assert_identical(reference, engine):
+    a, b = reference.ball_set, engine.ball_set
     assert len(a) == len(b)
     np.testing.assert_array_equal(a.centers, b.centers)
     np.testing.assert_array_equal(a.radii, b.radii)
     np.testing.assert_array_equal(a.labels, b.labels)
     np.testing.assert_array_equal(a.sizes, b.sizes)
     # member order within each ball is part of the contract (it encodes the
-    # legacy stable-sort tie order)
+    # full stable sort's tie order)
     np.testing.assert_array_equal(a.member_indices, b.member_indices)
-    np.testing.assert_array_equal(legacy.noise_indices, engine.noise_indices)
-    np.testing.assert_array_equal(legacy.orphan_indices, engine.orphan_indices)
-    assert legacy.n_iterations == engine.n_iterations
+    np.testing.assert_array_equal(reference.noise_indices, engine.noise_indices)
+    np.testing.assert_array_equal(reference.orphan_indices, engine.orphan_indices)
+    assert reference.n_iterations == engine.n_iterations
 
 
 FIXTURES = ["blobs2", "blobs3", "moons", "noisy_blobs2", "imbalanced2"]
@@ -43,15 +48,15 @@ FIXTURES = ["blobs2", "blobs3", "moons", "noisy_blobs2", "imbalanced2"]
 @pytest.mark.parametrize("seed", [0, 1, 42])
 def test_engine_bit_identical_on_fixtures(fixture, seed, request):
     x, y = request.getfixturevalue(fixture)
-    legacy, engine = _run_pair(x, y, rho=5, random_state=seed)
-    _assert_identical(legacy, engine)
+    reference, engine = _run_pair(x, y, rho=5, random_state=seed)
+    _assert_identical(reference, engine)
 
 
 @pytest.mark.parametrize("rho", [2, 3, 9, 19])
 def test_engine_bit_identical_across_rho(moons, rho):
     x, y = moons
-    legacy, engine = _run_pair(x, y, rho=rho, random_state=7)
-    _assert_identical(legacy, engine)
+    reference, engine = _run_pair(x, y, rho=rho, random_state=7)
+    _assert_identical(reference, engine)
 
 
 @pytest.mark.parametrize(
@@ -64,8 +69,8 @@ def test_engine_bit_identical_across_rho(moons, rho):
 )
 def test_engine_bit_identical_under_ablations(noisy_blobs2, kwargs):
     x, y = noisy_blobs2
-    legacy, engine = _run_pair(x, y, rho=5, random_state=3, **kwargs)
-    _assert_identical(legacy, engine)
+    reference, engine = _run_pair(x, y, rho=5, random_state=3, **kwargs)
+    _assert_identical(reference, engine)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -75,8 +80,8 @@ def test_engine_bit_identical_on_tied_distances(seed):
     rng = np.random.default_rng(seed)
     x = np.round(rng.normal(size=(300, 3)), 1)
     y = rng.integers(0, 3, size=300)
-    legacy, engine = _run_pair(x, y, rho=5, random_state=seed)
-    _assert_identical(legacy, engine)
+    reference, engine = _run_pair(x, y, rho=5, random_state=seed)
+    _assert_identical(reference, engine)
 
 
 def test_engine_bit_identical_with_duplicate_rows():
@@ -84,8 +89,8 @@ def test_engine_bit_identical_with_duplicate_rows():
     base = rng.normal(size=(60, 2))
     x = np.vstack([base, base[:30]])  # exact duplicates
     y = np.concatenate([np.repeat([0, 1], 30), np.repeat(0, 30)])
-    legacy, engine = _run_pair(x, y, rho=3, random_state=2)
-    _assert_identical(legacy, engine)
+    reference, engine = _run_pair(x, y, rho=3, random_state=2)
+    _assert_identical(reference, engine)
 
 
 def test_engine_bit_identical_on_larger_run():
@@ -96,14 +101,25 @@ def test_engine_bit_identical_on_larger_run():
     x = np.vstack([rng.normal(c, 1.1, size=(n // 6, 4)) for c in centers])
     y = np.repeat(np.arange(6) % 3, n // 6)
     perm = rng.permutation(x.shape[0])
-    legacy, engine = _run_pair(x[perm], y[perm], rho=5, random_state=23)
-    _assert_identical(legacy, engine)
+    reference, engine = _run_pair(x[perm], y[perm], rho=5, random_state=23)
+    _assert_identical(reference, engine)
+
+
+def test_engine_bit_identical_when_noise_removal_extends_the_prefix():
+    """Each unit vector's nearest neighbour is the origin, a lone sample of
+    another class: the first candidate removes it as noise (the h == 1
+    rule) and must then extend its neighbour prefix without it."""
+    p = 20
+    x = np.vstack([np.zeros((1, p)), np.eye(p), -np.eye(p)])
+    y = np.concatenate([[1], np.zeros(2 * p, dtype=int)])
+    reference, engine = _run_pair(x, y, rho=5, random_state=0)
+    _assert_identical(reference, engine)
 
 
 @pytest.mark.parametrize("fixture", ["moons", "noisy_blobs2"])
 def test_engine_preserves_invariants(fixture, request):
     x, y = request.getfixturevalue(fixture)
-    result = RDGBG(rho=5, random_state=0, backend="engine").generate(x, y)
+    result = RDGBG(rho=5, random_state=0).generate(x, y)
     ball_set = result.ball_set
     assert ball_set.is_partition()
     assert np.all(ball_set.purity_against(y) == 1.0)
@@ -115,11 +131,10 @@ def test_engine_preserves_invariants(fixture, request):
 
 
 def test_gbabs_identical_across_backends(moons):
+    """GBABS selects the same samples over RD-GBG and over the oracle."""
     x, y = moons
-    from repro.core.gbabs import GBABS
-
-    a = GBABS(rho=5, random_state=0, backend="legacy")
-    b = GBABS(rho=5, random_state=0, backend="engine")
+    a = GBABS(generator=ReferenceRDGBG(rho=5, random_state=0))
+    b = GBABS(rho=5, random_state=0)
     xa, ya = a.fit_resample(x, y)
     xb, yb = b.fit_resample(x, y)
     np.testing.assert_array_equal(a.sample_indices_, b.sample_indices_)
@@ -130,12 +145,69 @@ def test_gbabs_identical_across_backends(moons):
     )
 
 
-def test_gb_classifier_identical_across_backends(blobs3):
-    x, y = blobs3
-    from repro.classifiers.gb_classifier import GranularBallClassifier
+#: Few distinct coordinates, so distances tie heavily.
+_LEVELS = (-1.5, -0.5, 0.0, 0.5, 1.0, 2.0)
 
-    preds = {}
-    for backend in ("legacy", "engine"):
-        clf = GranularBallClassifier(rho=5, random_state=0, backend=backend).fit(x, y)
-        preds[backend] = clf.predict(x)
-    np.testing.assert_array_equal(preds["legacy"], preds["engine"])
+
+@st.composite
+def adversarial_datasets(draw):
+    """Quantised, continuous and constant columns; duplicated rows that keep
+    or flip their label; one to three classes; sizes down to a single row,
+    so n <= rho is drawn often."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    p = draw(st.integers(min_value=1, max_value=4))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["quantised", "continuous", "constant"]),
+                              min_size=p, max_size=p)):
+        if kind == "quantised":
+            columns.append(np.array(draw(st.lists(
+                st.sampled_from(_LEVELS), min_size=n, max_size=n))))
+        elif kind == "continuous":
+            columns.append(np.array(draw(st.lists(st.floats(
+                min_value=-20, max_value=20, allow_nan=False, allow_infinity=False),
+                min_size=n, max_size=n))))
+        else:
+            columns.append(np.full(n, draw(st.sampled_from(_LEVELS))))
+    x = np.column_stack(columns)
+    n_classes = draw(st.integers(min_value=1, max_value=3))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    copies = np.array(draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.intp)
+    flips = np.array(draw(st.lists(st.integers(0, n_classes), min_size=copies.size,
+                                   max_size=copies.size)), dtype=y.dtype)
+    # A flip equal to n_classes keeps the copy's label; others may conflict.
+    copy_labels = np.where(flips == n_classes, y[copies], flips)
+    return np.vstack([x, x[copies]]), np.concatenate([y, copy_labels])
+
+
+@given(
+    adversarial_datasets(),
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_oracle_on_adversarial_inputs(
+    data, rho, seed, detect_noise, enforce_no_overlap
+):
+    x, y = data
+    kwargs = dict(rho=rho, random_state=seed, detect_noise=detect_noise,
+                  enforce_no_overlap=enforce_no_overlap)
+    reference, engine = _run_pair(x, y, **kwargs)
+    _assert_identical(reference, engine)
+
+    ball_set = engine.ball_set
+    assert np.all(ball_set.purity_against(y) == 1.0)
+    assert ball_set.is_partition()
+    covered = set(ball_set.member_indices.tolist())
+    noise = set(engine.noise_indices.tolist())
+    assert covered.isdisjoint(noise)
+    assert covered | noise == set(range(x.shape[0]))
+    if enforce_no_overlap:
+        assert ball_set.max_overlap() <= 1e-9
+
+    oracle_sampler = GBABS(generator=ReferenceRDGBG(**kwargs))
+    sampler = GBABS(generator=RDGBG(**kwargs))
+    oracle_sampler.fit_resample(x, y)
+    sampler.fit_resample(x, y)
+    np.testing.assert_array_equal(sampler.sample_indices_, oracle_sampler.sample_indices_)

@@ -25,14 +25,10 @@ def _env():
 
 class TestParity:
     @pytest.mark.parametrize("include_orphans", [True, False])
-    @pytest.mark.parametrize("backend", ["engine", "legacy"])
-    def test_bit_identical_to_classifier(
-        self, moons, tmp_path, include_orphans, backend
-    ):
+    def test_bit_identical_to_classifier(self, moons, tmp_path, include_orphans):
         x, y = moons
         clf = GranularBallClassifier(
-            rho=5, random_state=3, include_orphans=include_orphans,
-            backend=backend,
+            rho=5, random_state=3, include_orphans=include_orphans
         ).fit(x, y)
         path = tmp_path / "model.gba"
         clf.freeze(path)
