@@ -11,31 +11,32 @@ structures instead:
   storage (centre matrix, radius/label vectors, flattened member indices),
   materialised into a :class:`~repro.core.granular_ball.GranularBallSet`
   without per-ball object churn;
-* :class:`ShrinkingPool` — the undivided sample set ``U`` as compacted
-  ascending-index arrays with a cached squared-norm vector, so per-candidate
-  distance estimates are one BLAS matrix-vector product instead of a
-  gather + subtract + reduce over the whole pool;
-* :class:`CandidateScan` — tie-exact *sorted-prefix* selection: squared
-  distances are estimated from the norm cache, a conservatively slacked
-  threshold (see :func:`_prefix_slack`) picks a candidate superset, and only
-  that superset gets the exact ``distances_to`` kernel + stable sort.  The
-  returned prefix is bit-identical to the head of a full stable
-  ``argsort`` — including duplicate-distance tie order — which is what makes
-  the output reproducible against the full-sort oracle;
+* :class:`NeighbourLists` — every row's exact nearest neighbours, built
+  once per ``generate`` in one blocked BLAS pass: at least ``k`` rows in
+  ``(distance, index)`` order together with the distance up to which the
+  list is complete.  Filtered to the undivided rows, a list is an exact
+  prefix of that candidate's sorted pool, which decides almost every
+  candidate without touching the pool;
+* :class:`CandidateScan` — the fallback: the same tie-exact *sorted-prefix*
+  selection over the current undivided rows, for a candidate whose list
+  is too short, can be widened to any length;
 * :class:`BallCenterIndex` — conflict-radius (``r_conf``, Eqs. 4–6) queries
   over existing ball centres served by a cKDTree rebuilt amortised, with the
   final gap always recomputed by the exact kernel so the clipped radii match
   a linear scan's floats.
 
-Exactness argument for the prefix selection: for every pool row the
-estimated squared distance ``||x_i||² - 2·x_i·c + ||c||²`` differs from the
-exact kernel's ``Σ(x_i - c)²`` by at most ``slack = 16(p+4)·eps·(max‖x‖² +
+Exactness argument for the prefix selection, shared by the lists and the
+scan: for every row the estimated squared distance ``||x_i||² - 2·x_i·c +
+||c||²`` (squared norms cached, one BLAS product) differs from the exact
+kernel's ``Σ(x_i - c)²`` by at most ``slack = 16(p+4)·eps·(max‖x‖² +
 ‖c‖²)``.  Any row whose estimate exceeds ``t₀ + 2·slack`` (``t₀`` = k-th
 smallest estimate) therefore has exact squared distance strictly above
 ``t₀ + slack``, while the k estimate-smallest rows sit at or below it — so
 the rows with exact distance ``≤ sqrt(t₀ + slack)`` are all inside the
-candidate superset, form a true prefix of the global sorted order, and
-number at least ``k``.
+candidate superset.  Only that superset gets the exact ``distances_to``
+kernel and a stable sort, and the rows within the cutoff form a true
+prefix of the global ``(distance, index)`` order — duplicate-distance tie
+order included — and number at least ``k``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.core.neighbors import distances_to
 
 __all__ = [
     "GranularBallSetBuilder",
-    "ShrinkingPool",
+    "NeighbourLists",
     "CandidateScan",
     "BallCenterIndex",
 ]
@@ -85,16 +86,6 @@ class GranularBallSetBuilder:
     def __len__(self) -> int:
         return self._m
 
-    @property
-    def centers(self) -> np.ndarray:
-        """View of the centres added so far, shape ``(m, p)``."""
-        return self._centers[: self._m]
-
-    @property
-    def radii(self) -> np.ndarray:
-        """View of the radii added so far, shape ``(m,)``."""
-        return self._radii[: self._m]
-
     def add(
         self, center: np.ndarray, radius: float, label: int, indices: np.ndarray
     ) -> int:
@@ -128,97 +119,119 @@ class GranularBallSetBuilder:
         )
 
 
-class ShrinkingPool:
-    """The undivided sample set ``U`` as compacted ascending-index arrays.
+class NeighbourLists:
+    """Every row's exact nearest neighbours, found once per dataset.
 
-    Rows are tombstoned on removal and physically compacted once a quarter
-    of the pool is dead, so removal is O(#removed) amortised while the
-    feature block stays contiguous for the BLAS estimate kernel.  The
-    ascending index order is load-bearing: it is what makes stable sorts
-    over pool slices reproduce the full-sort tie order.
+    Row ``i``'s list holds, in ``(distance, index)`` order, exactly the other
+    rows whose ``distances_to`` distance is at most ``complete[i]``
+    (``sqrt(t₀ + slack)`` of the module docstring): at least ``k`` of them,
+    ties at the k-th distance included.  Estimates come from one BLAS
+    product per block of rows, sized so the transient block stays near
+    ``_BLOCK_BYTES`` whatever ``n``.  A row with more than ``_MAX_FACTOR *
+    k`` near-tied candidates (many duplicate rows) gets an empty list
+    complete to ``-inf`` instead, so memory stays ``O(n·k)``.  Lists are
+    stored as CSR arrays; the squared norms and per-row slacks are kept
+    for :class:`CandidateScan`.
     """
 
-    def __init__(self, x: np.ndarray):
-        self.idx = np.arange(x.shape[0], dtype=np.intp)
-        self.x = np.array(x, dtype=np.float64, order="C", copy=True)
-        self.sq = np.einsum("ij,ij->i", self.x, self.x)
-        self.alive = np.ones(x.shape[0], dtype=bool)
-        self.n_alive = x.shape[0]
-        self.sq_max = float(self.sq.max()) if x.shape[0] else 0.0
-        self._dead: list[int] = []
+    _BLOCK_BYTES = 1 << 20
+    _MAX_FACTOR = 4
 
-    def position_of(self, global_i: int) -> int:
-        """Row position of a (live) global sample index."""
-        return int(np.searchsorted(self.idx, global_i))
+    def __init__(self, x: np.ndarray, k: int, slack_coeff: float):
+        n = x.shape[0]
+        self.x = x = np.ascontiguousarray(x, dtype=np.float64)
+        self.sq = sq = np.einsum("ij,ij->i", x, x)
+        self.slack = slack = slack_coeff * (float(sq.max()) + sq)
+        self.complete = np.full(n, np.inf)
+        counts = np.zeros(n + 1, dtype=np.intp)
+        idx_parts, dist_parts = [], []
+        step = max(1, self._BLOCK_BYTES // (8 * n))
+        for lo in range(0, n, step):
+            rows = np.arange(lo, min(lo + step, n))
+            # The estimate less its row constant ||x_i||², which no
+            # comparison within a row needs.
+            est = (-2.0 * x[rows]) @ x.T
+            est += sq
+            est[np.arange(rows.size), rows] = np.inf
+            if n - 1 > k:
+                t0 = np.partition(est, k - 1, axis=1)[:, k - 1]
+                self.complete[rows] = np.sqrt(t0 + sq[rows] + slack[rows])
+                within = est <= (t0 + 2.0 * slack[rows])[:, None]
+            else:
+                within = est < np.inf
+            row_of, cols = np.divmod(np.flatnonzero(within), n)
+            crowded = np.bincount(row_of, minlength=rows.size) > self._MAX_FACTOR * k
+            if crowded.any():
+                self.complete[rows[crowded]] = -np.inf
+                kept = ~crowded[row_of]
+                row_of, cols = row_of[kept], cols[kept]
+            bounds = np.searchsorted(row_of, np.arange(rows.size + 1))
+            near = x[cols]
+            dist = np.concatenate([
+                distances_to(x[i], near[bounds[r] : bounds[r + 1]])
+                for r, i in enumerate(rows)
+            ])
+            # cols ascend within each row, so the stable lexsort keeps the
+            # full sort's (distance, index) order.
+            order = np.lexsort((dist, row_of))
+            dist, row_of, cols = dist[order], row_of[order], cols[order]
+            keep = dist <= self.complete[rows][row_of]
+            idx_parts.append(cols[keep])
+            dist_parts.append(dist[keep])
+            counts[rows + 1] = np.bincount(row_of[keep], minlength=rows.size)
+        self.offsets = np.cumsum(counts)
+        self.idx = np.concatenate(idx_parts)
+        self.dist = np.concatenate(dist_parts)
 
-    def dead_positions(self) -> list[int]:
-        """Tombstoned row positions awaiting compaction."""
-        return self._dead
+    def alive(self, i: int, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Row ``i``'s list entries with ``keep`` set, and its complete distance.
 
-    def kill(self, global_indices: np.ndarray, compact: bool = True) -> None:
-        """Remove samples from the pool (ball members or detected noise).
-
-        ``compact=False`` defers physical compaction — required while a
-        :class:`CandidateScan` holds row positions into the current layout.
+        If ``keep`` marks the pool, the entries are an exact prefix of the
+        pool's ``(distance, index)`` order holding every kept row within the
+        complete distance.
         """
-        pos = np.searchsorted(self.idx, np.asarray(global_indices, dtype=np.intp))
-        self.alive[pos] = False
-        self._dead.extend(pos.tolist())
-        self.n_alive -= pos.size
-        if compact and len(self._dead) * 4 > self.idx.size and self.idx.size > 64:
-            keep = self.alive
-            self.idx = self.idx[keep]
-            self.x = np.ascontiguousarray(self.x[keep])
-            self.sq = self.sq[keep]
-            self.alive = np.ones(self.idx.size, dtype=bool)
-            self.sq_max = float(self.sq.max()) if self.idx.size else 0.0
-            self._dead = []
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        live = keep[self.idx[lo:hi]]
+        return self.idx[lo:hi][live], self.dist[lo:hi][live], float(self.complete[i])
 
 
 class CandidateScan:
     """Sorted-prefix nearest-neighbour view of the pool for one candidate.
 
-    Estimates all squared distances with the pool's norm cache (one BLAS
-    matvec), then serves exact ``(distance, index)``-sorted prefixes of any
-    requested length from a slack-guarded candidate superset.  Prefixes are
+    Gathers the pool rows other than ``ci`` (ascending), estimates their
+    squared distances from the lists' norm cache (one BLAS matvec), then
+    serves exact ``(distance, index)``-sorted prefixes of any requested
+    length from a slack-guarded candidate superset.  Prefixes are
     bit-identical to the head of a full stable sort (see the module
     docstring for the exactness argument).
     """
 
-    def __init__(self, pool: ShrinkingPool, ci: int, slack_coeff: float):
-        self._pool = pool
-        pos = pool.position_of(ci)
-        self._center = pool.x[pos]
-        approx = pool.sq - 2.0 * (pool.x @ self._center) + pool.sq[pos]
-        dead = pool.dead_positions()
-        if dead:
-            approx[dead] = np.inf
-        approx[pos] = np.inf
-        self._approx = approx
-        self._slack = slack_coeff * (pool.sq_max + float(pool.sq[pos]))
+    def __init__(self, lists: NeighbourLists, ci: int, pool: np.ndarray):
+        rows = np.flatnonzero(pool)
+        self._rows = rows[rows != ci]
+        self._x = lists.x[self._rows]
+        self._center = lists.x[ci]
+        self._approx = lists.sq[self._rows] - 2.0 * (self._x @ self._center)
+        self._approx += lists.sq[ci]
+        self._slack = float(lists.slack[ci])
+        self.n_available = self._rows.size
 
-    @property
-    def n_available(self) -> int:
-        """Pool rows other than the candidate itself."""
-        return self._pool.n_alive - 1
-
-    def exclude(self, global_i: int) -> None:
+    def exclude(self, i: int) -> None:
         """Drop one more row (e.g. a neighbour removed as noise mid-scan)."""
-        self._approx[self._pool.position_of(global_i)] = np.inf
+        self._approx[np.searchsorted(self._rows, i)] = np.inf
+        self.n_available -= 1
 
-    def prefix(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def prefix(self, k: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Exact sorted prefix of length >= min(k, n_available).
 
-        Returns ``(global_indices, distances)`` ordered exactly as the head
-        of a stable full ``argsort``, extended through any distance ties at
-        the boundary.
+        Returns ``(indices, distances, cutoff)`` ordered exactly as the head
+        of a stable full ``argsort``: every pool row within ``cutoff`` of the
+        candidate, so ties at the boundary are included.
         """
-        navail = self.n_available
-        k = min(int(k), navail)
+        k = min(int(k), self.n_available)
         if k <= 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-        pool = self._pool
-        if k >= navail:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64), np.inf
+        if k >= self.n_available:
             cand = np.flatnonzero(self._approx < np.inf)
             cutoff = np.inf
         else:
@@ -227,8 +240,8 @@ class CandidateScan:
             cutoff = float(np.sqrt(t0 + self._slack))
         # The shared exact kernel keeps the floats structurally coupled to
         # the full-sort oracle — bit-parity must not hinge on a private copy.
-        dist = distances_to(self._center, pool.x[cand])
-        # cand is ascending in global index, so a stable sort on distance
+        dist = distances_to(self._center, self._x[cand])
+        # cand is ascending in index, so a stable sort on distance
         # reproduces the full sort's (distance, index) tie order exactly.
         order = np.argsort(dist, kind="stable")
         dist = dist[order]
@@ -237,7 +250,7 @@ class CandidateScan:
             stop = int(np.searchsorted(dist, cutoff, side="right"))
             dist = dist[:stop]
             cand = cand[:stop]
-        return pool.idx[cand], dist
+        return self._rows[cand], dist, cutoff
 
 
 class BallCenterIndex:

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.granular_ball import GranularBallSet
 from repro.core.rdgbg import RDGBG, RDGBGResult
+from repro.preprocessing import check_labels
 
 __all__ = ["GBABS", "BorderlineReport"]
 
@@ -140,7 +141,7 @@ class GBABS:
     def fit_resample(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Run Algorithm 2 and return the borderline-sampled dataset."""
         x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y)
+        y = check_labels(y)
         generator = self.generator or RDGBG(rho=self.rho, random_state=self.random_state)
         result = generator.generate(x, y)
         self.rdgbg_result_ = result

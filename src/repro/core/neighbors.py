@@ -3,8 +3,8 @@
 Everything in this module is a thin, well-tested wrapper around numpy /
 ``scipy.spatial``.  The granular-ball algorithms need two access patterns:
 
-* one-query-against-a-shrinking-pool distance scans (RD-GBG), served by
-  :func:`distances_to`, and
+* exact distances from one point to a set of rows (RD-GBG's neighbour
+  lists and prefix scans), served by :func:`distances_to`, and
 * bulk k-NN queries over a static matrix (SMOTE, Tomek links, kNN
   classifier), served by :class:`NearestNeighbors`.
 """

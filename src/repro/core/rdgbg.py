@@ -21,13 +21,18 @@ Two ablation switches mirror the design choices the paper motivates:
 the overlap behaviour of earlier GBG methods).
 
 ``generate`` runs on the data structures of :mod:`repro.core.engine`:
-struct-of-arrays ball storage, a squared-norm cached shrinking-pool distance
-kernel with tie-exact prefix selection, and a spatial index over ball centres
-for conflict-radius queries.  The candidate-selection rules
-(`_detect_center`), the radius clipping (`_clip_radius`) and member
-collection (`_collect_members`) are the algorithm's rule kernels; the
-straight-line full-sort implementation in ``tests/core/reference_rdgbg.py``
-inherits them and is the bit-parity oracle for this loop.
+struct-of-arrays ball storage, every row's exact neighbour list built once
+in a blocked BLAS pass, a tie-exact prefix scan of the undivided rows for
+the few candidates a list cannot decide, and a spatial index over ball
+centres for conflict-radius queries.  A candidate's list, filtered to the
+undivided rows, is an exact prefix of its sorted pool; the rules need no
+more than a prefix that reaches the first neighbour of another label, or
+passes ``r_conf``, within the list's complete distance.  The
+candidate-selection rules (`_detect_center`), the radius clipping
+(`_clip_radius`) and member collection (`_collect_members`) are the
+algorithm's rule kernels; the straight-line full-sort implementation in
+``tests/core/reference_rdgbg.py`` inherits them and is the bit-parity
+oracle for this loop.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from repro.core.engine import (
     BallCenterIndex,
     CandidateScan,
     GranularBallSetBuilder,
-    ShrinkingPool,
+    NeighbourLists,
     _prefix_slack,
 )
 from repro.core.granular_ball import GranularBallSet
@@ -51,9 +56,14 @@ __all__ = ["RDGBG", "RDGBGResult"]
 # Relative slack applied when collecting members at distance exactly r.
 _RADIUS_RTOL = 1e-12
 
-# Initial neighbour-prefix length; must exceed rho so the detection rules see
-# the same effective neighbourhood as a full sort of the pool.
+# Neighbour-list and first-scan length (at least rho + 1, so the detection
+# rules see the same effective neighbourhood as a full sort of the pool).
 _MIN_PREFIX = 32
+
+
+def _member_limit(radius: float) -> float:
+    """Distance within which undivided rows of the run join a ball of ``radius``."""
+    return radius * (1.0 + _RADIUS_RTOL) + 1e-15
 
 
 @dataclass
@@ -140,22 +150,24 @@ class RDGBG:
         is_noise = np.zeros(n, dtype=bool)  # removed as class noise
 
         builder = GranularBallSetBuilder(p, n)
-        pool = ShrinkingPool(x)
         index = BallCenterIndex(p) if self.enforce_no_overlap else None
-        slack_coeff = _prefix_slack(p)
+        lists = NeighbourLists(x, max(self.rho + 1, _MIN_PREFIX), _prefix_slack(p))
+        # Rows of T (= U minus L) per class, ascending; a row never re-enters T.
+        by_class = [np.flatnonzero(y == cls) for cls in np.unique(y)]
 
         n_iterations = 0
         while True:
-            t_idx = np.flatnonzero(in_u & ~in_l)
-            if t_idx.size == 0:
+            in_t = in_u & ~in_l
+            by_class = [rows[in_t[rows]] for rows in by_class]
+            if not any(rows.size for rows in by_class):
                 break
             n_iterations += 1
-            for ci in self._draw_candidates(t_idx, y, rng):
+            for ci in self._draw_candidates(by_class, rng):
                 if not in_u[ci] or in_l[ci]:
                     # Swallowed by a ball generated earlier in this round.
                     continue
                 self._process_candidate(
-                    ci, x, y, in_u, in_l, is_noise, pool, index, builder, slack_coeff
+                    ci, x, y, in_u, in_l, is_noise, lists, index, builder
                 )
 
         # Completeness: leftover (all low-density) samples become orphan GBs.
@@ -195,19 +207,30 @@ class RDGBG:
         in_u: np.ndarray,
         in_l: np.ndarray,
         is_noise: np.ndarray,
-        pool: ShrinkingPool,
+        lists: NeighbourLists,
         index: BallCenterIndex | None,
         builder: GranularBallSetBuilder,
-        slack_coeff: float,
     ) -> None:
-        """Centre detection + ball construction for a single candidate."""
-        if pool.n_alive <= 1:
-            in_l[ci] = True
-            return
+        """Centre detection + ball construction for a single candidate.
 
-        scan = CandidateScan(pool, ci, slack_coeff)
-        k = max(self.rho + 1, _MIN_PREFIX)
-        sorted_idx, sorted_dist = scan.prefix(k)
+        Works on an exact sorted prefix of the undivided neighbours and the
+        distance up to which it is complete: the candidate's list while it
+        holds rho + 1 undivided rows (or the whole pool), then a
+        :class:`CandidateScan` widened until the prefix decides the ball.
+        """
+        scan = None
+        sorted_idx, sorted_dist, complete = lists.alive(ci, in_u)
+        if sorted_idx.size <= self.rho:
+            # Too short for the detection rules unless it is the whole pool.
+            n_others = int(np.count_nonzero(in_u)) - 1
+            if n_others == 0:
+                in_l[ci] = True
+                return
+            if sorted_idx.size < n_others:
+                scan = CandidateScan(lists, ci, in_u)
+                sorted_idx, sorted_dist, complete = scan.prefix(
+                    max(self.rho + 1, _MIN_PREFIX)
+                )
         y_ci = y[ci]
 
         if y[sorted_idx[0]] != y_ci:
@@ -215,38 +238,38 @@ class RDGBG:
             verdict, sorted_idx, sorted_dist = self._detect_center(
                 ci, y, in_u, in_l, is_noise, sorted_idx, sorted_dist
             )
-            if is_noise[ci]:
-                pool.kill(np.array([ci], dtype=np.intp))
-                return
             if not verdict:
                 return
             # h == 1: the nearest neighbour was removed as noise; the
             # shortened arrays are exactly the prefix of the updated pool.
-            scan.exclude(nn)
-            pool.kill(np.array([nn], dtype=np.intp), compact=False)
+            if scan is not None:
+                scan.exclude(nn)
             if sorted_idx.size == 0:
                 in_l[ci] = True
                 return
 
-        # Extend the prefix until it contains the first heterogeneous
-        # neighbour (which bounds the homogeneous run ω) or covers the pool.
+        # The prefix decides the ball once it reaches the first heterogeneous
+        # neighbour (which bounds the homogeneous run ω), covers the pool, or
+        # passes r_conf (every later row then lies beyond the clipped
+        # radius) — provided no row past its complete distance could still
+        # fall inside the member threshold.  Otherwise widen it.
+        r_conf = index.conflict_radius(x[ci]) if index is not None else np.inf
         while True:
             homo = y[sorted_idx] == y_ci
-            if not homo.all():
-                omega = int(np.argmin(homo))
+            omega = int(homo.size) if homo.all() else int(np.argmin(homo))
+            if omega == 0:
+                in_l[ci] = True
+                return
+            radius = self._clip_radius(sorted_dist, omega, r_conf)
+            if (
+                (omega < homo.size or r_conf < sorted_dist[-1])
+                and _member_limit(radius) <= complete
+            ) or sorted_idx.size == np.count_nonzero(in_u) - 1:
                 break
-            if sorted_idx.size >= scan.n_available:
-                omega = int(homo.size)
-                break
-            k = min(k * 4, scan.n_available)
-            sorted_idx, sorted_dist = scan.prefix(k)
+            if scan is None:
+                scan = CandidateScan(lists, ci, in_u)
+            sorted_idx, sorted_dist, complete = scan.prefix(4 * sorted_idx.size)
 
-        if omega == 0:
-            in_l[ci] = True
-            return
-
-        r_conf = index.conflict_radius(x[ci]) if index is not None else np.inf
-        radius = self._clip_radius(sorted_dist, omega, r_conf)
         if radius <= 0.0:
             # Centre sits on the edge of the undivided set; defer it.
             in_l[ci] = True
@@ -258,35 +281,25 @@ class RDGBG:
             index.add(x[ci], float(radius))
         in_u[members] = False
         in_l[members] = False
-        pool.kill(members)
 
     @staticmethod
     def _draw_candidates(
-        t_idx: np.ndarray, y: np.ndarray, rng: np.random.Generator
+        by_class: list[np.ndarray], rng: np.random.Generator
     ) -> list[int]:
         """One random candidate centre per class in T, larger classes first.
 
-        Groups T by class with a single stable argsort: within each class
-        the candidates keep ascending index order, and each class pool is
-        byte-identical to the boolean-mask selection ``t_idx[y[t_idx] ==
-        cls]``, so the RNG consumption (one ``choice`` per class, larger
-        classes first, class value breaking count ties) is reproducible
-        across implementations.
+        ``by_class`` holds each class's rows of T in ascending index order,
+        classes in ascending label order, so each pool is byte-identical to
+        the boolean-mask selection ``t_idx[y[t_idx] == cls]`` and the RNG
+        consumption (one ``choice`` per class, larger classes first, class
+        value breaking count ties) is reproducible across implementations.
         """
-        y_t = y[t_idx]
-        grouped = np.argsort(y_t, kind="stable")
-        sorted_y = y_t[grouped]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(sorted_y[1:] != sorted_y[:-1]) + 1, [y_t.size])
-        )
-        counts = np.diff(starts)
-        order = np.argsort(-counts, kind="stable")
-        candidates = []
-        for j in order:
-            # Stable argsort keeps ascending positions within each class.
-            pool = t_idx[grouped[starts[j] : starts[j + 1]]]
-            candidates.append(int(rng.choice(pool)))
-        return candidates
+        counts = np.array([rows.size for rows in by_class])
+        return [
+            int(rng.choice(by_class[j]))
+            for j in np.argsort(-counts, kind="stable")
+            if counts[j]
+        ]
 
     def _detect_center(
         self,
@@ -368,9 +381,7 @@ class RDGBG:
         neighbour can sit at *exactly* the radius distance (tied distances),
         and Eq. 7 must never absorb it into a pure ball.
         """
-        member_mask = (
-            sorted_dist[:omega] <= radius * (1.0 + _RADIUS_RTOL) + 1e-15
-        )
+        member_mask = sorted_dist[:omega] <= _member_limit(radius)
         return np.concatenate(
             (np.array([ci], dtype=np.intp), sorted_idx[:omega][member_mask])
         )

@@ -39,6 +39,7 @@ __all__ = [
     "collect_cv_result",
     "splits_for_plan",
     "run_folds_pooled",
+    "budget_blas_threads",
     "evaluate_pipeline",
 ]
 
@@ -264,6 +265,35 @@ def splits_for_plan(
 # ----------------------------------------------------------------------
 
 
+def budget_blas_threads(n_workers: int) -> None:
+    """Pool initializer: share the usable CPUs' BLAS threads among workers.
+
+    Sets every OpenBLAS loaded in this process (numpy and scipy each bundle
+    one) to ``max(1, usable CPUs // n_workers)`` threads, so concurrent
+    workers do not each run one BLAS thread per core.  A no-op where no
+    OpenBLAS is found.
+    """
+    import ctypes
+
+    try:
+        threads = max(1, len(os.sched_getaffinity(0)) // n_workers)
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except (AttributeError, OSError):
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(threads)
+
+
 def _pool_fold_task(task) -> tuple[tuple[dict[str, float], float], float]:
     """Run one planned fold against a shared block; returns (result, secs)."""
     import time
@@ -303,7 +333,12 @@ def run_folds_pooled(payloads, tasks, n_jobs: int, chunksize: int = 1):
             (metas[pi], fold_index, fold_seed, *extras[pi])
             for pi, fold_index, fold_seed in tasks
         ]
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
+        workers = min(n_jobs, len(tasks))
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=budget_blas_threads,
+            initargs=(workers,),
+        ) as pool:
             return [
                 result
                 for result, _seconds in pool.map(

@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.evaluation.cross_validation import (
     CVResult,
+    budget_blas_threads,
     collect_cv_result,
     plan_folds,
     resolve_n_jobs,
@@ -271,7 +272,11 @@ class ExperimentExecutor:
             return self._pool_factory(max_workers)
         from concurrent.futures import ProcessPoolExecutor
 
-        return ProcessPoolExecutor(max_workers=max_workers)
+        return ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=budget_blas_threads,
+            initargs=(max_workers,),
+        )
 
     def _run_parallel(self, misses) -> dict[str, CVResult]:
         from concurrent.futures import FIRST_COMPLETED, wait

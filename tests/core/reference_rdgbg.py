@@ -1,14 +1,16 @@
 """Reference RD-GBG: the straight-line full-sort reading of Algorithm 1.
 
-``RDGBG.generate`` keeps the undivided set in a shrinking pool, serves each
-candidate a slack-guarded sorted prefix of its neighbours and answers
-conflict-radius queries from a spatial index.  This subclass keeps the
+``RDGBG.generate`` decides each candidate from a slack-guarded sorted prefix
+of its neighbours (a neighbour list built once, or a scan of the undivided
+rows) and answers conflict-radius queries from a spatial index.  This
+subclass keeps the
 original formulation (a full distance scan and stable ``argsort`` of the
 undivided set per candidate, the centre matrix rebuilt per conflict query,
 ``GranularBall`` objects accumulated in a list) so property tests can
-require the two to produce bit-identical results.  Only ``generate`` is
-overridden; the detection, radius-clipping and membership rules, candidate
-drawing and input validation are inherited.
+require the two to produce bit-identical results.  ``generate`` and the
+candidate draw (one stable sort of T by class per round) are its own; the
+detection, radius-clipping and membership rules and input validation are
+inherited.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class ReferenceRDGBG(RDGBG):
             if t_idx.size == 0:
                 break
             n_iterations += 1
-            for ci in self._draw_candidates(t_idx, y, rng):
+            for ci in self._draw_by_sort(t_idx, y, rng):
                 if not in_u[ci] or in_l[ci]:
                     continue
                 self._grow(ci, x, y, in_u, in_l, is_noise, balls)
@@ -54,6 +56,31 @@ class ReferenceRDGBG(RDGBG):
             orphan_indices=orphan_idx,
             n_iterations=n_iterations,
         )
+
+    @staticmethod
+    def _draw_by_sort(
+        t_idx: np.ndarray, y: np.ndarray, rng: np.random.Generator
+    ) -> list[int]:
+        """One random candidate centre per class in T, larger classes first.
+
+        Groups T by class with a single stable argsort: within each class
+        the candidates keep ascending index order, and each class pool is
+        byte-identical to the boolean-mask selection ``t_idx[y[t_idx] ==
+        cls]``.
+        """
+        y_t = y[t_idx]
+        grouped = np.argsort(y_t, kind="stable")
+        sorted_y = y_t[grouped]
+        starts = np.concatenate(
+            ([0], np.flatnonzero(sorted_y[1:] != sorted_y[:-1]) + 1, [y_t.size])
+        )
+        counts = np.diff(starts)
+        order = np.argsort(-counts, kind="stable")
+        candidates = []
+        for j in order:
+            pool = t_idx[grouped[starts[j] : starts[j + 1]]]
+            candidates.append(int(rng.choice(pool)))
+        return candidates
 
     def _grow(self, ci, x, y, in_u, in_l, is_noise, balls) -> None:
         """Centre detection + ball construction for one candidate."""

@@ -7,7 +7,7 @@ from repro.core.engine import (
     BallCenterIndex,
     CandidateScan,
     GranularBallSetBuilder,
-    ShrinkingPool,
+    NeighbourLists,
     _prefix_slack,
 )
 from repro.core.granular_ball import GranularBallSet
@@ -40,14 +40,11 @@ class TestGranularBallSetBuilder:
         assert len(ball_set) == 0
         assert ball_set.n_source_samples == 10
 
-    def test_partial_views(self):
-        builder = GranularBallSetBuilder(2, 5)
-        builder.add(np.array([1.0, 2.0]), 0.5, 0, np.array([0]))
-        assert builder.centers.shape == (1, 2)
-        assert builder.radii.shape == (1,)
-
 
 class TestShrinkingPoolAndScan:
+    """``CandidateScan`` over the pool of undivided rows, a mask that shrinks
+    as balls and noise leave it."""
+
     def _brute_prefix(self, x, alive_idx, ci, k):
         """Reference: full stable sort over the alive pool minus ci."""
         others = alive_idx[alive_idx != ci]
@@ -62,44 +59,105 @@ class TestShrinkingPoolAndScan:
         x = rng.normal(size=(120, 4))
         if tie_heavy:
             x = np.round(x, 1)  # force many duplicate distances
-        pool = ShrinkingPool(x)
-        slack = _prefix_slack(4)
-        # kill a batch so dead rows + tombstones are exercised
+        lists = NeighbourLists(x, 8, _prefix_slack(4))
+        # drop a batch from the pool so the scan must skip them
         dead = rng.choice(120, size=30, replace=False)
         dead = dead[dead != 7]
-        pool.kill(dead)
-        alive_idx = np.setdiff1d(np.arange(120), dead)
-        scan = CandidateScan(pool, 7, slack)
+        pool = np.ones(120, dtype=bool)
+        pool[dead] = False
+        alive_idx = np.flatnonzero(pool)
+        scan = CandidateScan(lists, 7, pool)
         for k in (1, 5, 40, 200):
-            got_idx, got_dist = scan.prefix(k)
+            got_idx, got_dist, cutoff = scan.prefix(k)
             want_idx, want_dist = self._brute_prefix(x, alive_idx, 7, got_idx.size)
             np.testing.assert_array_equal(got_idx, want_idx)
             np.testing.assert_array_equal(got_dist, want_dist)
             assert got_idx.size >= min(k, alive_idx.size - 1)
+            # the prefix holds every pool row within its cutoff
+            _, all_dist = self._brute_prefix(x, alive_idx, 7, None)
+            assert got_idx.size == np.count_nonzero(all_dist <= cutoff)
 
     def test_exclude_mid_scan(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 3))
-        pool = ShrinkingPool(x)
-        scan = CandidateScan(pool, 0, _prefix_slack(3))
-        first, _ = scan.prefix(1)
+        pool = np.ones(50, dtype=bool)
+        scan = CandidateScan(NeighbourLists(x, 8, _prefix_slack(3)), 0, pool)
+        first, _, _ = scan.prefix(1)
         scan.exclude(int(first[0]))
-        pool.kill(np.array([first[0]]), compact=False)
-        got_idx, _ = scan.prefix(5)
+        got_idx, _, _ = scan.prefix(5)
         assert int(first[0]) not in got_idx
         alive_idx = np.setdiff1d(np.arange(50), [first[0]])
         want_idx, _ = self._brute_prefix(x, alive_idx, 0, got_idx.size)
         np.testing.assert_array_equal(got_idx, want_idx)
+        assert scan.n_available == 48
 
-    def test_compaction_preserves_order_and_values(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(100, 2))
-        pool = ShrinkingPool(x)
-        pool.kill(np.arange(0, 60, 2))  # triggers compaction (>25% dead)
-        assert pool.dead_positions() == []
-        assert pool.n_alive == 70
-        assert np.all(np.diff(pool.idx) > 0)
-        np.testing.assert_array_equal(pool.x, x[pool.idx])
+
+class TestNeighbourLists:
+    """Each row's list must be the head of a full stable argsort of the other
+    rows: exactly the rows within its complete distance, at least k of
+    them unless the row is crowded by near-tied duplicates."""
+
+    K = 32
+
+    def _check(self, x, k=K):
+        lists = NeighbourLists(x, k, _prefix_slack(x.shape[1]))
+        n = x.shape[0]
+        keep = np.ones(n, dtype=bool)
+        for i in range(n):
+            others = np.delete(np.arange(n), i)
+            dist = distances_to(x[i], x[others])
+            order = np.argsort(dist, kind="stable")
+            got_idx, got_dist, complete = lists.alive(i, keep)
+            m = np.count_nonzero(dist <= complete)
+            np.testing.assert_array_equal(got_idx, others[order][:m])
+            np.testing.assert_array_equal(got_dist, dist[order][:m])
+            if complete == -np.inf:
+                assert np.count_nonzero(dist == dist[order][k - 1]) > 1
+            else:
+                assert m >= min(k, n - 1)
+        return lists
+
+    def test_ties_across_the_kth_distance(self):
+        rng = np.random.default_rng(0)
+        x = np.round(rng.normal(size=(150, 2)), 0)  # a few lattice points
+        x[:40] = x[0]  # more than K copies of one point
+        lists = self._check(x)
+        assert np.diff(lists.offsets)[:40].min() > self.K  # extended through ties
+
+    def test_crowded_rows_get_an_empty_list(self):
+        x = np.zeros((200, 3))  # every row ties with 199 others
+        x[150:] = 1.0
+        lists = self._check(x)
+        assert np.all(lists.complete[:150] == -np.inf)
+        assert np.all(np.diff(lists.offsets)[:150] == 0)
+
+    @pytest.mark.parametrize("n", [1, 2, K, K + 1, K + 2, 300])
+    def test_sizes_around_k(self, n):
+        rng = np.random.default_rng(n)
+        x = np.round(rng.normal(size=(n, 3)), 1)
+        lists = self._check(x)
+        if n <= self.K + 1:
+            assert np.all(lists.complete == np.inf)
+
+    def test_blocks_do_not_change_lists(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(90, 4))
+        whole = NeighbourLists(x, 8, _prefix_slack(4))
+        monkeypatch.setattr(NeighbourLists, "_BLOCK_BYTES", 8 * 90 * 7)
+        blocked = NeighbourLists(x, 8, _prefix_slack(4))
+        for name in ("offsets", "idx", "dist", "complete"):
+            np.testing.assert_array_equal(getattr(whole, name), getattr(blocked, name))
+
+    def test_alive_filters_in_order(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(80, 2))
+        lists = NeighbourLists(x, 10, _prefix_slack(2))
+        keep = rng.random(80) < 0.5
+        full_idx, full_dist, complete = lists.alive(5, np.ones(80, dtype=bool))
+        idx, dist, same = lists.alive(5, keep)
+        assert same == complete
+        np.testing.assert_array_equal(idx, full_idx[keep[full_idx]])
+        np.testing.assert_array_equal(dist, full_dist[keep[full_idx]])
 
 
 class TestBallCenterIndex:

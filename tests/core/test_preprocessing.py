@@ -136,13 +136,17 @@ class TestCheckLabels:
     def test_whole_number_labels_give_unchanged_results(self, moons):
         x, y = moons
         reference = GBABS(random_state=0)
-        reference.fit_resample(x, y)
+        _, y_reference = reference.fit_resample(x, y)
         for alias in (y.astype(np.float64), y.astype(np.int8), y == 1):
             sampler = GBABS(random_state=0)
-            sampler.fit_resample(x, alias)
+            _, y_sampled = sampler.fit_resample(x, alias)
             np.testing.assert_array_equal(
                 sampler.sample_indices_, reference.sample_indices_
             )
+            # Integer labels come back, as from every check_xy sampler.
+            assert y_sampled.dtype == check_xy(x, alias)[1].dtype
+            assert np.issubdtype(y_sampled.dtype, np.integer)
+            np.testing.assert_array_equal(y_sampled, y_reference)
             np.testing.assert_array_equal(
                 sampler.ball_set_.labels, reference.ball_set_.labels
             )

@@ -12,7 +12,7 @@ membership.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.gbabs import GBABS
@@ -150,7 +150,7 @@ _LEVELS = (-1.5, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
 @st.composite
-def adversarial_datasets(draw):
+def _small_datasets(draw):
     """Quantised, continuous and constant columns; duplicated rows that keep
     or flip their label; one to three classes; sizes down to a single row,
     so n <= rho is drawn often."""
@@ -179,6 +179,66 @@ def adversarial_datasets(draw):
     return np.vstack([x, x[copies]]), np.concatenate([y, copy_labels])
 
 
+@st.composite
+def _clustered_datasets(draw):
+    """Up to 200 rows in one to four clusters, most larger than a neighbour
+    list (32 rows), each mostly one label, with exact duplicates or lattice
+    ties inside and labels sprinkled between.  RD-GBG then meets the list
+    path's fallbacks: same-label runs longer than a list, lists emptied by
+    the balls of a neighbouring cluster, ties at a list's last distance
+    (the member threshold past its complete distance) and the h == 1 noise
+    rule on a list prefix.  The pinned examples force each one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(min_value=1, max_value=4))
+    n_classes = draw(st.integers(min_value=1, max_value=3))
+    xs, ys = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        m = draw(st.sampled_from([1, 5, 40, 70]))
+        centre = rng.choice(_LEVELS, size=p)
+        spread = draw(st.sampled_from(["lattice", 0.0, 0.05, 0.6]))
+        if spread == "lattice":
+            # Shells of many equidistant rows at unit scale: ties at a
+            # list's last distance, where the member threshold passes it.
+            rows = np.tile(centre, (m, 1))
+            rows[:, :2] += 0.5 * rng.integers(-2, 3, size=(m, min(p, 2)))
+        else:
+            rows = centre * draw(st.sampled_from([1.0, 8.0]))
+            rows = rows + spread * rng.normal(size=(m, p))
+            if draw(st.booleans()):
+                rows = np.round(rows, 1)
+        purity = draw(st.sampled_from([1.0, 0.9, 0.7]))
+        labels = np.where(rng.random(m) < purity, draw(st.integers(0, n_classes - 1)),
+                          rng.integers(0, n_classes, size=m))
+        xs.append(rows)
+        ys.append(labels)
+    return np.vstack(xs), np.concatenate(ys)
+
+
+def adversarial_datasets():
+    """Small tie-heavy draws for the detection rules, and clustered draws
+    larger than a neighbour list for the list path's fallbacks."""
+    return st.one_of(_small_datasets(), _clustered_datasets())
+
+
+def _lattice(seed):
+    """60 rows on a 1-D lattice of spacing 0.5, about 30% of them a second
+    label: shells of about 12 equidistant rows, so a list ends inside a
+    shell and a member threshold passes the list's complete distance."""
+    rng = np.random.default_rng(seed)
+    x = 0.5 * rng.integers(-2, 3, size=(60, 1)).astype(np.float64)
+    return x, (rng.random(60) < 0.3).astype(np.intp)
+
+
+def _blob_beside_mixed(seed):
+    """A tight 50-row blob of one label beside 20 scattered rows of two:
+    the blob's same-label run is longer than a list, its balls empty the
+    scattered rows' lists, and the h == 1 rule fires on a list prefix."""
+    rng = np.random.default_rng(seed)
+    x = np.vstack([rng.normal(0.0, 0.05, size=(50, 2)), rng.normal(3.0, 0.8, size=(20, 2))])
+    y = np.concatenate([np.zeros(50, dtype=np.intp), (rng.random(20) < 0.5).astype(np.intp)])
+    return x, y
+
+
 @given(
     adversarial_datasets(),
     st.integers(min_value=2, max_value=9),
@@ -186,7 +246,10 @@ def adversarial_datasets(draw):
     st.booleans(),
     st.booleans(),
 )
-@settings(max_examples=60, deadline=None)
+# Pinned draws that force each fallback of the list path on every run.
+@example(_lattice(0), 5, 0, True, True)
+@example(_blob_beside_mixed(11), 5, 0, True, False)
+@settings(max_examples=80, deadline=None)
 def test_engine_matches_oracle_on_adversarial_inputs(
     data, rho, seed, detect_noise, enforce_no_overlap
 ):
