@@ -15,21 +15,11 @@ claim/lease protocol, then asserts the assembled store is
 
     PYTHONPATH=src python benchmarks/bench_distributed_smoke.py --workers 2
     PYTHONPATH=src python benchmarks/bench_distributed_smoke.py \
-        --workers 2 --backend objectstore   # fakes3:// conditional-put store
+        --workers 2 --store-codec zlib      # stored payload <= 60% of raw
+    PYTHONPATH=src python benchmarks/bench_distributed_smoke.py --elastic
 
-``--backend objectstore`` runs the identical fleet over the fake
-object-store backend (conditional-put claims, metadata-timestamp leases)
-instead of the filesystem — CI exercises both.  Pytest mode runs the
-same checks at the default settings.
-
-``--chaos`` (objectstore only) is the CI ``chaos-smoke`` gate: the fleet
-runs under the :class:`~repro.experiments.dispatch.FleetSupervisor` with
-an injected fault schedule (``REPRO_STORE_FAULTS`` — a timed store
-brownout plus per-worker fail-first faults), and one worker is SIGKILLed
-mid-grid on top.  The pass condition tightens to: bit-parity still
-holds, the supervisor restarted the killed worker (``restarts >= 1``),
-and **zero unexpected worker deaths** — every exit code is benign
-(0/3), or the SIGKILL/SIGTERM the harness itself delivered.
+``--elastic`` runs an autoscaled supervised fleet from a single starting
+worker instead of a fixed one.  Pytest mode runs the same checks.
 """
 
 from __future__ import annotations
@@ -37,7 +27,6 @@ from __future__ import annotations
 import argparse
 import glob
 import json
-import os
 import signal
 import sys
 import tempfile
@@ -47,7 +36,6 @@ from pathlib import Path
 from repro.experiments import dispatch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentExecutor
-from repro.experiments.resilience import FAULTS_ENV, FaultSchedule
 from repro.experiments.store import CellStore, default_store_codec
 
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -62,14 +50,13 @@ SMOKE = ExperimentConfig(
 )
 
 
-#: Lease TTL for the chaos fleet: short enough that claims orphaned by
-#: the SIGKILL are reaped within the smoke's budget, long enough that a
-#: brownout-stalled heartbeat does not lose a live lease.
-CHAOS_TTL = 3.0
+#: Lease TTL for the elastic fleet: short enough that claims orphaned by
+#: a mid-compute retirement are reaped within the smoke's budget.
+ELASTIC_TTL = 3.0
 
 
 def _run_fleet(target, units, n_workers, jobs, timeout, extra_args=()):
-    """Plain fleet: spawn, wait, return (wall_seconds, chaos_record)."""
+    """Plain fleet: spawn, wait, return (wall_seconds, extra_record)."""
     start = time.perf_counter()
     fleet = dispatch.spawn_workers(
         target, n_workers, jobs=jobs,
@@ -98,7 +85,7 @@ def _run_fleet_elastic(target, units, jobs, timeout, extra_args=()):
     """
     def command_for(index: int) -> list[str]:
         return dispatch.worker_command(
-            target, index, jobs=jobs, lease_ttl=CHAOS_TTL,
+            target, index, jobs=jobs, lease_ttl=ELASTIC_TTL,
             claim_order="lru",
             extra_args=["--poll", "0.1", "--max-idle", "120",
                         *extra_args],
@@ -110,7 +97,7 @@ def _run_fleet_elastic(target, units, jobs, timeout, extra_args=()):
         min_workers=1, max_workers=3, scale_threshold=2,
         log=lambda message: print(f"[elastic] {message}", flush=True),
     )
-    store = CellStore(target, lease_ttl=CHAOS_TTL)
+    store = CellStore(target, lease_ttl=ELASTIC_TTL)
     start = time.perf_counter()
     supervisor.start()
     try:
@@ -143,130 +130,28 @@ def _run_fleet_elastic(target, units, jobs, timeout, extra_args=()):
     }
 
 
-def _run_fleet_chaos(target, units, n_workers, jobs, timeout, store_root):
-    """Supervised fleet under injected faults plus one SIGKILL.
-
-    The schedule browns out the store for a window the whole fleet is
-    guaranteed to be alive in, and fails each worker's first store
-    operations (process-local counters) so every worker provably
-    exercises its retry path.  One worker is SIGKILLed as soon as a
-    claim proves the grid is underway; the supervisor must restart it.
-    """
-    schedule = FaultSchedule(
-        fail_first={"*": 3},
-        brownouts=[(time.time() + 1.0, time.time() + 4.0)],
-    )
-    faults = schedule.dump(Path(store_root) / "faults.json")
-    stagger = max(1, len(units) // n_workers)
-    commands = [
-        dispatch.worker_command(
-            target, index, jobs=jobs, lease_ttl=CHAOS_TTL, stagger=stagger,
-            extra_args=["--poll", "0.1", "--outage-grace", "60",
-                        "--max-idle", "120"],
-        )
-        for index in range(max(1, n_workers))
-    ]
-    supervisor = dispatch.FleetSupervisor(
-        commands, max_restarts=2, env={FAULTS_ENV: str(faults)},
-        log=lambda message: print(f"[chaos] {message}", flush=True),
-    )
-    store = CellStore(target, lease_ttl=CHAOS_TTL)
-    start = time.perf_counter()
-    supervisor.start()
-    try:
-        deadline = time.monotonic() + timeout
-        while not store.claim_names():
-            supervisor.poll()
-            assert not supervisor.fleet_dead(), "fleet died before claiming"
-            assert time.monotonic() < deadline, "no worker ever claimed"
-            time.sleep(0.05)
-        victim = supervisor.processes[0]
-        print(f"[chaos] SIGKILL worker pid {victim.pid}", flush=True)
-        os.kill(victim.pid, signal.SIGKILL)
-        # Drive the supervisor until the restart actually happens — a
-        # tiny grid can otherwise finish inside the crash-loop backoff
-        # window, and terminate() would cancel the pending respawn.
-        restart_deadline = time.monotonic() + 60.0
-        while supervisor.total_restarts() == 0:
-            assert time.monotonic() < restart_deadline, (
-                "SIGKILLed worker was never restarted"
-            )
-            supervisor.poll()
-            time.sleep(0.05)
-
-        def fleet_dead() -> bool:
-            supervisor.poll()
-            return supervisor.fleet_dead()
-
-        dispatch.wait_for_grid(
-            store, units, poll=0.2, timeout=timeout, should_abort=fleet_dead
-        )
-    finally:
-        supervisor.terminate()
-    wall = time.perf_counter() - start
-
-    summary = supervisor.summary()
-    restarts = supervisor.total_restarts()
-    exit_codes = [entry["exit_codes"] for entry in summary]
-    # Zero *unexpected* deaths: benign exits (0 done, 3 idle) plus the
-    # signals this harness itself delivered are the only codes allowed.
-    allowed = {0, 3, -signal.SIGKILL, -signal.SIGTERM}
-    unexpected = [
-        code for codes in exit_codes for code in codes if code not in allowed
-    ]
-    assert not unexpected, f"unexpected worker deaths: {summary}"
-    assert not any(entry["gave_up"] for entry in summary), (
-        f"supervisor abandoned a slot: {summary}"
-    )
-    assert restarts >= 1, f"SIGKILLed worker was never restarted: {summary}"
-    return wall, {
-        "chaos": True,
-        "supervisor_restarts": restarts,
-        "worker_exit_codes": exit_codes,
-    }
-
-
 def run_smoke(n_workers: int = 2, jobs: int = 1, timeout: float = 600.0,
-              backend: str = "file", chaos: bool = False,
               elastic: bool = False, codec: str | None = None) -> dict:
-    """One full distributed pass in a temp store; returns the record.
+    """One full distributed pass in a temp store directory; returns the
+    record.
 
-    ``backend`` is ``file`` (the historical directory store) or
-    ``objectstore`` (a ``fakes3://`` bucket — the claim/lease protocol on
-    conditional-put semantics); ``chaos`` layers the supervised
-    fault-injection scenario on top (objectstore only — the fault seam
-    lives in the fake client); ``elastic`` runs a queue-depth-autoscaled
-    supervised fleet from a single starting worker instead of a fixed
-    one.  ``codec`` pins the fleet's payload compression (default: the
-    store's own default, zlib) — the record carries the stored-vs-raw
-    byte accounting either way, and any compressing codec must land at
-    ≤ 60% of the raw payload bytes.  Raises ``AssertionError`` on any
-    contract violation (parity, leftover claims, leaked shared memory).
+    ``elastic`` runs a queue-depth-autoscaled supervised fleet from a
+    single starting worker instead of a fixed one.  ``codec`` pins the
+    fleet's payload compression (default: the store's own default, zlib)
+    — the record carries the stored-vs-raw byte accounting either way,
+    and any compressing codec must land at ≤ 60% of the raw payload
+    bytes.  Raises ``AssertionError`` on any contract violation (parity,
+    leftover claims, leaked shared memory).
     """
-    if chaos and backend != "objectstore":
-        raise ValueError("--chaos needs --backend objectstore "
-                         "(fault injection is an object-store seam)")
-    if chaos and elastic:
-        raise ValueError("--chaos and --elastic are separate scenarios")
     shm_before = set(glob.glob("/dev/shm/psm_*"))
     units = dispatch.plan_grid(SMOKE, ["table2"])
     serial = ExperimentExecutor(SMOKE, n_jobs=1, store=CellStore(None)).run(
         [u.spec for u in units]
     )
     codec_args = ["--store-codec", codec] if codec else []
-    with tempfile.TemporaryDirectory(prefix="dist-smoke-") as store_root:
-        if backend == "objectstore":
-            target = f"fakes3://{Path(store_root) / 'bucket'}"
-        elif backend == "file":
-            target = store_root
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+    with tempfile.TemporaryDirectory(prefix="dist-smoke-") as target:
         dispatch.write_manifest(target, SMOKE, units)
-        if chaos:
-            wall, extra = _run_fleet_chaos(
-                target, units, n_workers, jobs, timeout, store_root
-            )
-        elif elastic:
+        if elastic:
             wall, extra = _run_fleet_elastic(
                 target, units, jobs, timeout, extra_args=codec_args
             )
@@ -276,7 +161,7 @@ def run_smoke(n_workers: int = 2, jobs: int = 1, timeout: float = 600.0,
                 extra_args=codec_args,
             )
 
-        store = CellStore(target, lease_ttl=CHAOS_TTL) if (chaos or elastic) \
+        store = CellStore(target, lease_ttl=ELASTIC_TTL) if elastic \
             else CellStore(target)
         for unit, reference in zip(units, serial):
             loaded = store.get("cell", unit.key)
@@ -284,12 +169,11 @@ def run_smoke(n_workers: int = 2, jobs: int = 1, timeout: float = 600.0,
             assert reference.exactly_equal(loaded), (
                 f"distributed result differs from serial: {unit.key}"
             )
-        if chaos or elastic:
-            # Claims/spools orphaned by the SIGKILL (chaos) or by a
-            # mid-compute retirement SIGTERM (elastic) are not leaks —
-            # they age out by TTL.  Wait them out before holding the
-            # clean-store line.
-            reap_deadline = time.monotonic() + 4 * CHAOS_TTL
+        if elastic:
+            # Claims/spools orphaned by a mid-compute retirement SIGTERM
+            # are not leaks — they age out by TTL.  Wait them out before
+            # holding the clean-store line.
+            reap_deadline = time.monotonic() + 4 * ELASTIC_TTL
             while store.claim_names() or store.backend.stray_spools():
                 assert time.monotonic() < reap_deadline, (
                     f"orphans never aged out: claims="
@@ -319,7 +203,6 @@ def run_smoke(n_workers: int = 2, jobs: int = 1, timeout: float = 600.0,
     return {
         "bench": "distributed_smoke",
         "grid": "table2",
-        "backend": backend,
         "n_cells": len(units),
         "n_workers": n_workers,
         "jobs_per_worker": jobs,
@@ -346,16 +229,16 @@ def test_two_workers_share_one_store_bit_identically():
     assert record["n_cells"] == len(SMOKE.datasets) * 4
 
 
-def test_two_workers_share_one_object_store_bit_identically():
-    record = run_smoke(n_workers=2, backend="objectstore")
+def test_two_workers_share_one_compressed_store_bit_identically():
+    record = run_smoke(n_workers=2, codec="zlib")
     assert record["bit_identical"]
-    assert record["backend"] == "objectstore"
-    # The default codec compresses: the record proves the footprint win.
+    assert record["store_codec"] == "zlib"
+    # The record proves the footprint win.
     assert record["payload_bytes_stored"] <= 0.6 * record["payload_bytes_raw"]
 
 
 def test_elastic_fleet_scales_up_and_converges_bit_identically():
-    record = run_smoke(backend="objectstore", elastic=True)
+    record = run_smoke(elastic=True)
     assert record["bit_identical"]
     assert record["scale_ups"] >= 1
     assert record["stale_claims"] == 0
@@ -374,16 +257,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="fold-pool processes inside each worker")
     parser.add_argument("--timeout", type=float, default=600.0)
-    parser.add_argument("--backend", choices=("file", "objectstore"),
-                        default="file",
-                        help="store backend the fleet shares (objectstore "
-                             "= fakes3:// conditional-put bucket)")
-    parser.add_argument("--chaos", action="store_true",
-                        help="supervised fleet under an injected fault "
-                             "schedule (store brownout + fail-first) plus "
-                             "one SIGKILL; gates on parity, a successful "
-                             "restart and zero unexpected worker deaths "
-                             "(objectstore only)")
     parser.add_argument("--elastic", action="store_true",
                         help="autoscaled supervised fleet: start 1 worker, "
                              "gate on an observed scale-up, lru work "
@@ -395,39 +268,31 @@ def main(argv=None) -> int:
 
     record = run_smoke(
         n_workers=args.workers, jobs=args.jobs, timeout=args.timeout,
-        backend=args.backend, chaos=args.chaos, elastic=args.elastic,
-        codec=args.store_codec,
+        elastic=args.elastic, codec=args.store_codec,
     )
-    survived = ""
-    if args.chaos:
-        survived = (
-            f", survived brownout + SIGKILL "
-            f"({record['supervisor_restarts']} restart(s))"
-        )
-    elif args.elastic:
-        survived = (
+    elastic_note = ""
+    if args.elastic:
+        elastic_note = (
             f", elastic fleet scaled up {record['scale_ups']}x / "
             f"down {record['scale_downs']}x"
         )
     ratio = (record["payload_bytes_stored"]
              / max(1, record["payload_bytes_raw"]))
     print(
-        f"distributed smoke OK [{record['backend']}]: {record['n_cells']} "
+        f"distributed smoke OK: {record['n_cells']} "
         f"cells over {record['n_workers']} workers in "
         f"{record['wall_seconds']:.1f}s, bit-identical to serial, "
         f"no leaked segments, no stale claims, "
         f"{record['store_codec']} payloads at {ratio:.0%} of raw"
-        f"{survived}"
+        f"{elastic_note}"
     )
     OUTPUT_DIR.mkdir(exist_ok=True)
-    suffix = "_chaos" if args.chaos else "_elastic" if args.elastic else ""
+    suffix = "_elastic" if args.elastic else ""
     if args.store_codec:
         # An explicit codec is its own CI scenario; keep its record
         # distinct from the default-codec run's.
         suffix += f"_{args.store_codec}"
-    record_path = (
-        OUTPUT_DIR / f"distributed_smoke_{record['backend']}{suffix}.json"
-    )
+    record_path = OUTPUT_DIR / f"distributed_smoke{suffix}.json"
     record_path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"[record saved to {record_path}]")
     return 0

@@ -1,12 +1,13 @@
 """Capped exponential backoff with jitter — the one retry-delay policy.
 
-Two independent retry loops grew the same delay arithmetic: the serving
+Two retry loops share the same delay arithmetic: the serving
 :class:`~repro.serving.client.PredictClient` (retrying 503/504/connection
-failures against a reloading server) and the store resilience layer
-(:mod:`repro.experiments.resilience`, retrying transient backend errors
-against a browning-out object store).  Duplicated backoff code drifts —
-one side gains jitter bounds or a ``Retry-After`` floor and the other
-silently doesn't — so the policy lives here once and both consume it.
+failures against a reloading server) and the
+:class:`~repro.experiments.dispatch.FleetSupervisor` (delaying the
+restart of a crashed worker, so one that dies on start cannot
+hot-loop).  Duplicated backoff code drifts — one side gains jitter
+bounds or a ``Retry-After`` floor and the other silently doesn't — so
+the policy lives here once and both consume it.
 
 The policy is **deterministically testable**: the random source is
 injected (any object with a ``random() -> [0, 1)`` method, i.e. a seeded

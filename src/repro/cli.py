@@ -27,12 +27,8 @@ standalone worker processes (``python -m repro.experiments.worker``) over
 a shared store instead — ``--workers N`` launches them locally,
 ``--workers-external`` waits for workers started elsewhere (e.g. other
 machines sharing ``--store`` over a network filesystem).  ``--store`` /
-``--store-url`` accepts a directory or a store URL (``file://``,
-``fakes3://DIR``, ``s3://bucket/prefix``), selecting the storage backend
-behind the claim/lease protocol (see docs/architecture/store-backends.md)::
-
-    python -m repro.cli bench table2 --distributed \
-        --store-url fakes3://bucket-dir
+``--store-url`` takes the store directory (a path or a ``file://`` URL)
+behind the claim/lease protocol (see docs/architecture/store-backends.md).
 
 ``freeze`` fits a granular-ball classifier once and writes the versioned,
 checksummed, mmap-able model artifact; ``serve`` answers ``POST /predict``
@@ -151,8 +147,6 @@ def _cmd_bench(args) -> int:
         argv.append("--workers-external")
     if args.max_restarts is not None:
         argv += ["--max-restarts", str(args.max_restarts)]
-    if args.outage_grace is not None:
-        argv += ["--outage-grace", str(args.outage_grace)]
     if args.store:
         argv += ["--store", args.store]
     if args.store_codec:
@@ -394,15 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="supervisor restarts per crashed worker slot "
                               "in --distributed mode")
-    p_bench.add_argument("--outage-grace", type=float, default=None,
-                         metavar="S",
-                         help="seconds workers ride out a store outage "
-                              "before exiting (distributed mode)")
     p_bench.add_argument("--store", "--store-url", dest="store",
                          metavar="DIR_OR_URL", default=None,
                          help="shared cell store for distributed runs: a "
-                              "directory or a file:// / mem:// / "
-                              "fakes3:// / s3:// URL")
+                              "directory or a file:// URL")
     p_bench.add_argument("--store-codec", default=None, metavar="CODEC",
                          help="cell-store payload compression "
                               "(zlib | lzma | none; default: zlib)")

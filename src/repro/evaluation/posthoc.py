@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, f as f_dist
 
 from repro.evaluation.stats import rankdata_average
 
@@ -67,6 +66,8 @@ def friedman_test(
     Ties within a dataset get average ranks; at least two methods and two
     datasets are required.
     """
+    from scipy.stats import chi2, f as f_dist
+
     names = list(scores)
     if len(names) < 2:
         raise ValueError("need at least two methods")

@@ -1,319 +1,119 @@
-"""Pluggable storage backends for the distributed cell store.
+"""The filesystem storage backend of the distributed cell store.
 
 :class:`~repro.experiments.store.CellStore` persists content-keyed
 results and coordinates a worker fleet through claim files with
-heartbeat leases.  Until PR 5 every one of those operations was a raw
-POSIX call (``open(O_EXCL)``, ``os.replace``, ``stat().st_mtime``), which
-tied a fleet to machines sharing a network filesystem.  This module
-extracts the storage contract into :class:`StoreBackend` so the same
-claim/lease protocol runs over an S3-style object store, where
-
-* exclusive claim creation (``O_CREAT | O_EXCL``) becomes a
-  **conditional put** (create-if-absent, S3's ``If-None-Match: *``), and
-* mtime heartbeats become **metadata timestamps** (every overwrite of an
-  object refreshes its ``last_modified``).
-
-Backends shipped here:
-
-* :class:`LocalFSBackend` — the historical behaviour.  One directory,
-  byte-identical file layout to the pre-backend store (existing stores
-  resume without migration), atomic visibility via temp file +
-  ``os.replace``.
-* :class:`ObjectStoreBackend` — the claim/lease contract on top of any
-  object-store *client* exposing ``get_object`` / ``put_object`` (with an
-  ``if_none_match`` precondition) / ``head_object`` / ``delete_object`` /
-  ``list_objects``.
-* :class:`FakeObjectStore` — an in-repo client for tests and CI (no
-  cloud credentials): a strongly consistent bucket with conditional
-  puts, explicit ``last_modified`` metadata, an injectable clock, and
-  injectable latency / lost-race conflict faults.  Two bucket drivers:
-  :class:`MemoryBucket` (``mem://`` URLs, in-process) and
-  :class:`DirectoryBucket` (``fakes3://`` URLs, a directory emulating a
-  bucket so real worker *processes* can share it).
-* :class:`Boto3ObjectStore` — a thin adapter binding the same client
-  interface to a real S3 bucket when ``boto3`` is installed (``s3://``
-  URLs).  It is import-gated: nothing in this repo requires boto3.
+heartbeat leases.  Every storage operation behind that protocol goes
+through :class:`LocalFSBackend`: one directory, one file per entry, a
+byte-identical layout to every earlier release (existing stores resume
+without migration).  Machines that mount the same directory (a local
+disk, most NFS setups) share one store and split one grid.
 
 :func:`resolve_backend` maps a store *target* — a directory path or a
-``file:// | mem:// | fakes3:// | s3://`` URL — onto a backend instance;
+``file://`` URL — onto a backend instance;
 :class:`~repro.experiments.store.CellStore`, the worker CLI's
-``--store-url`` and the coordinator all accept any of these forms.
+``--store``/``--store-url`` and the coordinator all accept either form.
+Any other URL scheme is rejected.
 
 **The contract** (pinned by the conformance suite in
-``tests/experiments/test_store_backends.py``, which runs the same tests
-against every backend):
+``tests/experiments/test_store_backends.py``):
 
 1. ``put_atomic`` is all-or-nothing: a concurrent reader sees either the
-   previous bytes or the new bytes, never a torn mix.
+   previous bytes or the new bytes, never a torn mix (spool file +
+   ``os.replace``).
 2. ``try_claim_exclusive`` has exactly one winner per name until the
-   name is deleted — under any interleaving of processes or threads.
-3. ``stamp_mtime`` advances the name's modification timestamp
-   monotonically with the backend's clock (the lease heartbeat).
+   name is deleted — under any interleaving of processes or threads
+   (``O_CREAT | O_EXCL``).
+3. ``stamp_mtime`` advances the name's modification timestamp (the
+   lease heartbeat).
 4. ``delete`` of a missing name is a no-op; ``get``/``mtime`` of a
    missing name return ``None`` (races against concurrent deletes must
    not raise).
-5. ``list`` reflects completed writes only (no spool/temp artifacts).
-6. ``list_page`` walks the same namespace as ``list`` in bounded pages:
-   every name appears exactly once across a token walk started from
-   ``None``, and the continuation token is opaque to callers.
+5. ``list`` reflects completed writes only (no ``.tmp`` spool files);
+   ``stray_spools`` surfaces those for the stale-reap path.
 """
 
 from __future__ import annotations
 
-import abc
-import json
 import os
 import tempfile
-import threading
-import time
-from collections import Counter
-from pathlib import Path, PurePosixPath
-from typing import Callable
+from pathlib import Path
 
-__all__ = [
-    "StoreBackend",
-    "LocalFSBackend",
-    "ObjectStoreBackend",
-    "FakeObjectStore",
-    "MemoryBucket",
-    "DirectoryBucket",
-    "Boto3ObjectStore",
-    "resolve_backend",
-    "memory_bucket",
-]
+__all__ = ["LocalFSBackend", "resolve_backend"]
 
 
-class StoreBackend(abc.ABC):
-    """Storage contract behind :class:`~repro.experiments.store.CellStore`.
+class LocalFSBackend:
+    """The POSIX store: one file per entry under ``root``.
 
     Names are flat strings (``cell-<digest>.npz``, ``plan-<digest>.plan``,
-    ``cell-<digest>.claim`` …); the backend owns how they map onto files
-    or objects.  See the module docstring for the five invariants every
-    implementation must uphold.
-    """
-
-    #: Human-readable/reconstructable location, e.g. ``file:///x`` or
-    #: ``mem://ci``.  Passing it back through :func:`resolve_backend`
-    #: (in another process, for ``file``/``fakes3``) reaches the same
-    #: storage.
-    url: str
-
-    @abc.abstractmethod
-    def get(self, name: str) -> bytes | None:
-        """Full payload of ``name``; ``None`` when absent (never torn)."""
-
-    @abc.abstractmethod
-    def put_atomic(self, name: str, data: bytes) -> None:
-        """Write ``data`` with all-or-nothing visibility (create or replace)."""
-
-    @abc.abstractmethod
-    def exists(self, name: str) -> bool:
-        """Cheap existence probe (no payload transfer)."""
-
-    @abc.abstractmethod
-    def delete(self, name: str) -> None:
-        """Remove ``name``; silently succeed when it is already gone."""
-
-    @abc.abstractmethod
-    def list(self, prefix: str = "") -> list[str]:
-        """Sorted names of every completed entry (no spool artifacts).
-
-        ``prefix`` narrows the listing by name prefix — object stores
-        filter server-side, so hot polling paths (manifest discovery)
-        should always pass one rather than scan the whole store.
-        """
-
-    #: Default page size for :meth:`list_page` (mirrors S3's 1000-key
-    #: ``MaxKeys`` ceiling).
-    DEFAULT_PAGE_LIMIT = 1000
-
-    def list_page(
-        self, prefix: str = "", token: str | None = None,
-        limit: int = DEFAULT_PAGE_LIMIT,
-    ) -> tuple[list[str], str | None]:
-        """One bounded page of :meth:`list`, with a continuation token.
-
-        Returns ``(names, next_token)``: up to ``limit`` sorted names,
-        plus an *opaque* token to pass back for the next page (``None``
-        when the walk is complete).  Polling paths should prefer this
-        over :meth:`list` so their cost per round trip stays bounded no
-        matter how many entries have landed in the store.  This default
-        pages over :meth:`list`; backends with a native paging primitive
-        (``os.scandir``, ``list_objects_v2``'s ``MaxKeys``) override it.
-
-        Entries created or deleted mid-walk may or may not appear — the
-        same snapshot looseness real object-store listings have; callers
-        already tolerate it (claims age by TTL, results are immutable).
-        """
-        names = self.list(prefix)
-        if token is not None:
-            names = [n for n in names if n > token]
-        page = names[:limit]
-        next_token = page[-1] if len(names) > len(page) else None
-        return page, next_token
-
-    @abc.abstractmethod
-    def try_claim_exclusive(self, name: str, data: bytes) -> bool:
-        """Create ``name`` only if absent; ``True`` iff this call created it.
-
-        The distributed claim primitive: exactly one concurrent caller
-        wins.  Filesystems implement it with ``O_CREAT | O_EXCL``, object
-        stores with a conditional put (``If-None-Match: *``).
-        """
-
-    @abc.abstractmethod
-    def stamp_mtime(self, name: str, data: bytes) -> None:
-        """Rewrite ``name`` so its modification timestamp advances.
-
-        The lease heartbeat.  Must stay atomic (readers never see a torn
-        claim payload) and must work whether or not ``name`` exists.
-        """
-
-    @abc.abstractmethod
-    def mtime(self, name: str) -> float | None:
-        """Last-modification time of ``name`` in epoch seconds, or ``None``.
-
-        The value leases age against: :class:`CellStore` compares it to
-        its clock, so backend timestamps and the store clock must share
-        an epoch (both fakes take the same injectable ``clock``).
-        """
-
-    def stray_spools(self) -> list[str]:
-        """In-flight or orphaned write artifacts, if the backend has any.
-
-        Atomic-per-key stores never strand spools; filesystem-based
-        storage (the local backend, the directory-backed fake bucket)
-        can leave one behind when a writer is SIGKILLed mid-write.
-        These names are deliberately *excluded* from :meth:`list`
-        (invariant 5) and surfaced here so :meth:`CellStore.reap_stale`
-        can sweep the expired ones.  The returned names are valid
-        arguments to :meth:`mtime`/:meth:`delete`.
-        """
-        return []
-
-
-# ----------------------------------------------------------------------
-# Shared filesystem primitives (used by the local backend and by the
-# directory-backed fake bucket — one implementation of atomic publish
-# and exclusive create, so a fix to either path cannot miss the other)
-# ----------------------------------------------------------------------
-
-
-def _atomic_write(root: Path, name: str, data: bytes,
-                  spool_prefix: str, spool_suffix: str,
-                  stamp: float | None = None) -> None:
-    """Publish ``data`` as ``root/name`` via spool file + ``os.replace``.
-
-    ``stamp`` (optional) sets the published file's mtime explicitly
-    (the fake bucket's clock-driven ``last_modified`` metadata).
-    """
-    root.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=root, prefix=spool_prefix,
-                               suffix=spool_suffix)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        if stamp is not None:
-            os.utime(tmp, (stamp, stamp))
-        os.replace(tmp, root / name)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
-
-
-def _create_exclusive(path: Path, data: bytes,
-                      stamp: float | None = None) -> bool:
-    """``O_CREAT | O_EXCL`` create of ``path``; ``True`` iff we won.
-
-    A crash between the create and the payload write leaves a zero-byte
-    file; it has no owner to heartbeat it, so it ages out by mtime like
-    any other orphan.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    with os.fdopen(fd, "wb") as handle:
-        handle.write(data)
-    if stamp is not None:
-        try:
-            os.utime(path, (stamp, stamp))
-        except OSError:
-            pass  # claimed but deleted already — the create still won
-    return True
-
-
-# ----------------------------------------------------------------------
-# Local filesystem
-# ----------------------------------------------------------------------
-
-
-class LocalFSBackend(StoreBackend):
-    """The historical POSIX store: one file per entry under ``root``.
-
-    Layout is byte-identical to the pre-backend :class:`CellStore`, so
-    stores written before this abstraction existed resume without any
-    migration.  Atomicity comes from ``tempfile.mkstemp`` + ``os.replace``
-    (same-directory rename), exclusive claims from ``O_CREAT | O_EXCL``,
-    and timestamps from file mtimes — which is what makes this backend
-    fleet-safe only on filesystems with coherent rename/mtime semantics
-    (local disks, most NFS setups).
+    ``cell-<digest>.claim`` …), each stored as ``root/name``.  Atomicity
+    comes from ``tempfile.mkstemp`` + ``os.replace`` (same-directory
+    rename), exclusive claims from ``O_CREAT | O_EXCL``, and timestamps
+    from file mtimes — which is what makes this backend fleet-safe only
+    on filesystems with coherent rename/mtime semantics (local disks,
+    most NFS setups).
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        #: Location that round-trips through worker command lines:
+        #: :func:`resolve_backend` maps it back onto the same directory.
         self.url = f"file://{self.root}"
 
     def path(self, name: str) -> Path:
-        """Filesystem location of ``name`` (local-backend extension)."""
+        """Filesystem location of ``name``."""
         return self.root / name
 
     def get(self, name: str) -> bytes | None:
+        """Full payload of ``name``; ``None`` when absent (never torn)."""
         try:
             return self.path(name).read_bytes()
         except OSError:
             return None
 
     def put_atomic(self, name: str, data: bytes) -> None:
-        _atomic_write(self.root, name, data,
-                      spool_prefix=Path(name).stem, spool_suffix=".tmp")
+        """Write ``data`` with all-or-nothing visibility (create or replace)."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=Path(name).stem,
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, self.path(name))
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
     def exists(self, name: str) -> bool:
+        """Cheap existence probe (no payload read)."""
         return self.path(name).exists()
 
     def delete(self, name: str) -> None:
+        """Remove ``name``; silently succeed when it is already gone."""
         self.path(name).unlink(missing_ok=True)
 
-    def _scan(self, prefix: str, token: str | None) -> list[str]:
-        """Sorted entry names via one ``os.scandir`` sweep (no per-name
-        ``stat``: the dirent's type field answers ``is_file``)."""
+    def list(self, prefix: str = "") -> list[str]:
+        """Sorted names of every completed entry starting with ``prefix``.
+
+        One ``os.scandir`` sweep with no per-name ``stat`` (the dirent's
+        type field answers ``is_file``); spool files are excluded.
+        """
         if not self.root.exists():
             return []
-        names = []
         with os.scandir(self.root) as entries:
-            for entry in entries:
-                name = entry.name
-                if (entry.is_file() and not name.endswith(".tmp")
-                        and name.startswith(prefix)
-                        and (token is None or name > token)):
-                    names.append(name)
-        names.sort()
-        return names
-
-    def list(self, prefix: str = "") -> list[str]:
-        return self._scan(prefix, token=None)
-
-    def list_page(
-        self, prefix: str = "", token: str | None = None,
-        limit: int = StoreBackend.DEFAULT_PAGE_LIMIT,
-    ) -> tuple[list[str], str | None]:
-        names = self._scan(prefix, token)
-        page = names[:limit]
-        next_token = page[-1] if len(names) > len(page) else None
-        return page, next_token
+            return sorted(
+                e.name for e in entries
+                if e.is_file() and not e.name.endswith(".tmp")
+                and e.name.startswith(prefix)
+            )
 
     def stray_spools(self) -> list[str]:
+        """In-flight or orphaned ``.tmp`` spool files.
+
+        A writer SIGKILLed mid-write leaves one behind.  These names are
+        deliberately *excluded* from :meth:`list` and surfaced here so
+        :meth:`CellStore.reap_stale` can sweep the expired ones; they are
+        valid arguments to :meth:`mtime`/:meth:`delete`.
+        """
         if not self.root.exists():
             return []
         with os.scandir(self.root) as entries:
@@ -323,545 +123,51 @@ class LocalFSBackend(StoreBackend):
             )
 
     def try_claim_exclusive(self, name: str, data: bytes) -> bool:
-        return _create_exclusive(self.path(name), data)
+        """Create ``name`` only if absent; ``True`` iff this call created it.
+
+        The distributed claim primitive: exactly one concurrent caller
+        wins the ``O_CREAT | O_EXCL`` create.  A crash between the create
+        and the payload write leaves a zero-byte file; it has no owner to
+        heartbeat it, so it ages out by mtime like any other orphan.
+        """
+        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            fd = os.open(self.path(name), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return False
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        return True
 
     def stamp_mtime(self, name: str, data: bytes) -> None:
+        """Atomically rewrite ``name`` so its mtime advances (the lease
+        heartbeat); works whether or not ``name`` exists."""
         self.put_atomic(name, data)
 
     def mtime(self, name: str) -> float | None:
+        """Last-modification time of ``name`` in epoch seconds, or ``None``.
+
+        The value leases age against: :class:`CellStore` compares it to
+        its clock, so the store clock must share the kernel's epoch.
+        """
         try:
             return self.path(name).stat().st_mtime
         except OSError:
             return None
 
 
-# ----------------------------------------------------------------------
-# Fake object store (tests / CI — no cloud credentials required)
-# ----------------------------------------------------------------------
-
-
-class MemoryBucket:
-    """In-process bucket: name -> (bytes, last_modified), lock-serialised.
-
-    The mutating operations hold one lock, which models the strong
-    consistency and atomic conditional writes of a real object store.
-    """
-
-    def __init__(self):
-        self._objects: dict[str, tuple[bytes, float]] = {}
-        self._lock = threading.Lock()
-
-    def load(self, name: str) -> tuple[bytes, float] | None:
-        with self._lock:
-            return self._objects.get(name)
-
-    def stat(self, name: str) -> tuple[int, float] | None:
-        """(size, last_modified) without transferring the payload."""
-        with self._lock:
-            found = self._objects.get(name)
-            return None if found is None else (len(found[0]), found[1])
-
-    def save(self, name: str, data: bytes, stamp: float) -> None:
-        with self._lock:
-            self._objects[name] = (bytes(data), stamp)
-
-    def save_if_absent(self, name: str, data: bytes, stamp: float) -> bool:
-        with self._lock:
-            if name in self._objects:
-                return False
-            self._objects[name] = (bytes(data), stamp)
-            return True
-
-    def remove(self, name: str) -> None:
-        with self._lock:
-            self._objects.pop(name, None)
-
-    def names(self, prefix: str = "") -> list[str]:
-        with self._lock:
-            return sorted(n for n in self._objects if n.startswith(prefix))
-
-    def stray_spools(self) -> list[str]:
-        """Memory writes are atomic dict updates: no spools, ever."""
-        return []
-
-
-class DirectoryBucket:
-    """Directory-backed bucket so *processes* can share one fake store.
-
-    Each object is one file named exactly after its key; the
-    ``last_modified`` metadata is materialised as the file's mtime,
-    stamped explicitly with ``os.utime`` from the fake's clock.  Writes
-    spool to hidden ``.spool-*`` files (excluded from :meth:`names`) and
-    publish via ``os.replace``; conditional creation uses an exclusive
-    create, which is this driver's *private* mechanism for providing the
-    object-store API — the store layer above only ever sees conditional
-    puts and metadata timestamps.
-    """
-
-    _SPOOL_PREFIX = ".spool-"
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-
-    def load(self, name: str) -> tuple[bytes, float] | None:
-        path = self.root / name
-        try:
-            data = path.read_bytes()
-            return data, path.stat().st_mtime
-        except OSError:
-            return None
-
-    def stat(self, name: str) -> tuple[int, float] | None:
-        """(size, last_modified) from file metadata — no payload read."""
-        try:
-            meta = (self.root / name).stat()
-        except OSError:
-            return None
-        return meta.st_size, meta.st_mtime
-
-    def save(self, name: str, data: bytes, stamp: float) -> None:
-        _atomic_write(self.root, name, data,
-                      spool_prefix=self._SPOOL_PREFIX, spool_suffix="",
-                      stamp=stamp)
-
-    def save_if_absent(self, name: str, data: bytes, stamp: float) -> bool:
-        return _create_exclusive(self.root / name, data, stamp=stamp)
-
-    def remove(self, name: str) -> None:
-        (self.root / name).unlink(missing_ok=True)
-
-    def names(self, prefix: str = "") -> list[str]:
-        if not self.root.exists():
-            return []
-        return sorted(
-            p.name for p in self.root.iterdir()
-            if p.is_file() and not p.name.startswith(self._SPOOL_PREFIX)
-            and p.name.startswith(prefix)
-        )
-
-    def stray_spools(self) -> list[str]:
-        """Orphaned ``.spool-*`` files (writer died mid-save); the fake's
-        reap path must be able to see and delete these."""
-        if not self.root.exists():
-            return []
-        return sorted(
-            p.name for p in self.root.iterdir()
-            if p.is_file() and p.name.startswith(self._SPOOL_PREFIX)
-        )
-
-
-class FakeObjectStore:
-    """S3-style client over a :class:`MemoryBucket` / :class:`DirectoryBucket`.
-
-    Client API (the surface :class:`ObjectStoreBackend` consumes, shaped
-    after S3 but provider-neutral):
-
-    * ``get_object(key) -> bytes`` (``KeyError`` when absent)
-    * ``put_object(key, data, if_none_match=False) -> bool`` — with
-      ``if_none_match`` the put only succeeds when ``key`` does not
-      exist (S3 ``If-None-Match: *``); returns ``False`` on the lost
-      race instead of raising
-    * ``head_object(key) -> {"last_modified", "size"} | None``
-    * ``delete_object(key)`` — idempotent
-    * ``list_objects(prefix="") -> list[str]``
-
-    Fault injection (what makes this fake worth having in CI):
-
-    * ``latency`` — seconds slept before every operation, modelling
-      object-store round trips (shakes out code that assumed local-disk
-      timing);
-    * ``conflict_injector(key) -> bool`` — consulted on every
-      *conditional* put; returning ``True`` makes the put report a lost
-      race even though the key is absent, modelling a concurrent winner
-      whose write this client hasn't observed yet;
-    * ``error_injector(op, key) -> None`` — consulted at the start of
-      **every** client operation (``op`` is the method name); raising
-      models transport/service failure *before* the bucket is touched
-      (throttles, resets, brownouts).  The declarative driver for this
-      hook is :class:`~repro.experiments.resilience.FaultSchedule`,
-      whose ``injector()`` plugs in here — and which worker
-      subprocesses pick up automatically from a schedule file named by
-      ``REPRO_STORE_FAULTS`` (see :func:`resolve_backend`);
-    * ``clock`` — the time source for ``last_modified`` metadata, so
-      lease-expiry tests advance time instead of sleeping;
-    * ``page_size`` — hard cap on keys per ``list_objects_page`` reply,
-      modelling a provider that truncates below the requested
-      ``max_keys`` (real S3 may return fewer keys than asked for);
-    * ``op_counts`` — a per-operation round-trip counter, so tests can
-      assert a polling loop's *cost*, not just its answers.
-    """
-
-    def __init__(
-        self,
-        bucket=None,
-        clock: Callable[[], float] = time.time,
-        latency: float = 0.0,
-        conflict_injector: Callable[[str], bool] | None = None,
-        error_injector: Callable[[str, str], None] | None = None,
-        page_size: int | None = None,
-    ):
-        self.bucket = bucket if bucket is not None else MemoryBucket()
-        self.clock = clock
-        self.latency = latency
-        self.conflict_injector = conflict_injector
-        self.error_injector = error_injector
-        self.page_size = page_size
-        #: op name -> number of simulated round trips performed.
-        self.op_counts: Counter[str] = Counter()
-
-    def _simulate_round_trip(self, op: str, key: str = "") -> None:
-        self.op_counts[op] += 1
-        if self.error_injector is not None:
-            self.error_injector(op, key)
-        if self.latency > 0:
-            time.sleep(self.latency)
-
-    def get_object(self, key: str) -> bytes:
-        self._simulate_round_trip("get_object", key)
-        found = self.bucket.load(key)
-        if found is None:
-            raise KeyError(key)
-        return found[0]
-
-    def put_object(self, key: str, data: bytes,
-                   if_none_match: bool = False) -> bool:
-        self._simulate_round_trip("put_object", key)
-        if if_none_match:
-            if self.conflict_injector is not None and self.conflict_injector(key):
-                return False
-            return self.bucket.save_if_absent(key, data, self.clock())
-        self.bucket.save(key, data, self.clock())
-        return True
-
-    def head_object(self, key: str) -> dict | None:
-        self._simulate_round_trip("head_object", key)
-        # Metadata-only: exists()/mtime() probes run every worker poll
-        # round, so this must never transfer the payload.
-        found = self.bucket.stat(key)
-        if found is None:
-            return None
-        size, stamp = found
-        return {"last_modified": stamp, "size": size}
-
-    def delete_object(self, key: str) -> None:
-        self._simulate_round_trip("delete_object", key)
-        self.bucket.remove(key)
-
-    def list_objects(self, prefix: str = "") -> list[str]:
-        self._simulate_round_trip("list_objects", prefix)
-        return self.bucket.names(prefix)
-
-    def list_objects_page(
-        self, prefix: str = "", token: str | None = None,
-        max_keys: int = 1000,
-    ) -> tuple[list[str], str | None]:
-        """One truncated listing page, S3-style.
-
-        The continuation token is the last key of the previous page
-        (opaque to callers); ``page_size`` — when set — caps the reply
-        below ``max_keys``, modelling a provider that truncates harder
-        than asked.
-        """
-        self._simulate_round_trip("list_objects_page", prefix)
-        names = self.bucket.names(prefix)
-        if token is not None:
-            names = [n for n in names if n > token]
-        limit = max(1, min(max_keys, self.page_size or max_keys))
-        page = names[:limit]
-        next_token = page[-1] if len(names) > len(page) else None
-        return page, next_token
-
-    def stray_spools(self) -> list[str]:
-        """Orphaned write artifacts in the bucket (directory driver only).
-
-        The analogue of S3's incomplete multipart uploads: invisible to
-        listings, still occupying space, sweepable by a janitor."""
-        return self.bucket.stray_spools()
-
-
-# ----------------------------------------------------------------------
-# Object-store backend (fake or boto3 — same client surface)
-# ----------------------------------------------------------------------
-
-
-class ObjectStoreBackend(StoreBackend):
-    """The claim/lease storage contract on conditional-put semantics.
-
-    The translation table from the POSIX store:
-
-    ========================  =====================================
-    filesystem primitive      object-store primitive
-    ========================  =====================================
-    ``open(O_CREAT|O_EXCL)``  ``put_object(..., if_none_match=True)``
-    temp file + ``rename``    single ``put_object`` (atomic per key)
-    mtime heartbeat           overwrite refreshes ``last_modified``
-    ``stat().st_mtime``       ``head_object()["last_modified"]``
-    ``unlink(missing_ok)``    idempotent ``delete_object``
-    ========================  =====================================
-
-    ``prefix`` namespaces every name inside the bucket (the ``/prefix``
-    part of ``s3://bucket/prefix``), so many stores can share one bucket.
-    """
-
-    def __init__(self, client, url: str, prefix: str = ""):
-        self.client = client
-        self.url = url
-        self.prefix = prefix.strip("/")
-
-    def _key(self, name: str) -> str:
-        return f"{self.prefix}/{name}" if self.prefix else name
-
-    def get(self, name: str) -> bytes | None:
-        try:
-            return self.client.get_object(self._key(name))
-        except KeyError:
-            return None
-
-    def put_atomic(self, name: str, data: bytes) -> None:
-        self.client.put_object(self._key(name), data)
-
-    def exists(self, name: str) -> bool:
-        return self.client.head_object(self._key(name)) is not None
-
-    def delete(self, name: str) -> None:
-        self.client.delete_object(self._key(name))
-
-    def list(self, prefix: str = "") -> list[str]:
-        # A foreign key sharing the bucket (another application's object,
-        # a partial prefix match like "grids/run-10/…" vs "grids/run-1")
-        # must be filtered out, not blindly sliced into a mangled name.
-        base = f"{self.prefix}/" if self.prefix else ""
-        return sorted(
-            key[len(base):] for key in self.client.list_objects(base + prefix)
-            if key.startswith(base + prefix)
-        )
-
-    def list_page(
-        self, prefix: str = "", token: str | None = None,
-        limit: int = StoreBackend.DEFAULT_PAGE_LIMIT,
-    ) -> tuple[list[str], str | None]:
-        pager = getattr(self.client, "list_objects_page", None)
-        if pager is None:
-            # Clients without a native paging call (minimal adapters)
-            # fall back to slicing the full listing.
-            return super().list_page(prefix, token, limit)
-        base = f"{self.prefix}/" if self.prefix else ""
-        keys, next_token = pager(base + prefix, token, limit)
-        names = sorted(
-            key[len(base):] for key in keys
-            if key.startswith(base + prefix)
-        )
-        return names, next_token
-
-    def stray_spools(self) -> list[str]:
-        """Orphaned write artifacts, when the client can surface them.
-
-        Only meaningful for un-prefixed fake buckets (spools live at the
-        bucket root, outside any key prefix); real S3 has no spools —
-        its analogue, incomplete multipart uploads, belongs to bucket
-        lifecycle policy, not this store."""
-        spools = getattr(self.client, "stray_spools", None)
-        if spools is None or self.prefix:
-            return []
-        return spools()
-
-    def try_claim_exclusive(self, name: str, data: bytes) -> bool:
-        return self.client.put_object(self._key(name), data,
-                                      if_none_match=True)
-
-    def stamp_mtime(self, name: str, data: bytes) -> None:
-        self.client.put_object(self._key(name), data)
-
-    def mtime(self, name: str) -> float | None:
-        meta = self.client.head_object(self._key(name))
-        return None if meta is None else meta["last_modified"]
-
-
-class Boto3ObjectStore:
-    """Real-S3 client with the :class:`FakeObjectStore` surface.
-
-    Import-gated: constructing it without ``boto3`` installed raises a
-    ``RuntimeError`` naming the missing dependency (this repo never
-    requires boto3 — CI and tests run entirely on the fake).  Conditional
-    puts use S3's ``If-None-Match: *`` precondition, so the claim
-    protocol needs no lock service; note S3 timestamps have one-second
-    resolution — pick ``lease_ttl`` well above 2 s.
-    """
-
-    def __init__(self, bucket: str, client=None):
-        if client is None:
-            try:
-                import boto3
-            except ImportError as exc:  # pragma: no cover - env without boto3
-                raise RuntimeError(
-                    "s3:// store URLs need the optional boto3 dependency "
-                    "(pip install boto3), or pass an explicit client"
-                ) from exc
-            client = boto3.client("s3")  # pragma: no cover
-        self.bucket = bucket
-        self._s3 = client
-
-    def _missing(self, exc) -> bool:
-        code = getattr(exc, "response", {}).get("Error", {}).get("Code", "")
-        return code in ("404", "NoSuchKey", "NotFound")
-
-    def get_object(self, key: str) -> bytes:
-        try:
-            return self._s3.get_object(Bucket=self.bucket, Key=key)["Body"].read()
-        except Exception as exc:
-            if self._missing(exc):
-                raise KeyError(key) from exc
-            raise
-
-    def put_object(self, key: str, data: bytes,
-                   if_none_match: bool = False) -> bool:
-        kwargs = {"Bucket": self.bucket, "Key": key, "Body": data}
-        if if_none_match:
-            kwargs["IfNoneMatch"] = "*"
-        try:
-            self._s3.put_object(**kwargs)
-            return True
-        except Exception as exc:
-            code = getattr(exc, "response", {}).get("Error", {}).get("Code", "")
-            if if_none_match and code in ("PreconditionFailed", "412",
-                                          "ConditionalRequestConflict"):
-                return False
-            raise
-
-    def head_object(self, key: str) -> dict | None:
-        try:
-            meta = self._s3.head_object(Bucket=self.bucket, Key=key)
-        except Exception as exc:
-            if self._missing(exc):
-                return None
-            raise
-        return {
-            "last_modified": meta["LastModified"].timestamp(),
-            "size": meta["ContentLength"],
-        }
-
-    def delete_object(self, key: str) -> None:
-        self._s3.delete_object(Bucket=self.bucket, Key=key)
-
-    def list_objects_page(
-        self, prefix: str = "", token: str | None = None,
-        max_keys: int = 1000,
-    ) -> tuple[list[str], str | None]:
-        """One ``list_objects_v2`` call: ``MaxKeys`` bounds the reply,
-        S3's own ``NextContinuationToken`` is the (opaque) token."""
-        kwargs = {"Bucket": self.bucket, "Prefix": prefix,
-                  "MaxKeys": int(max_keys)}
-        if token:
-            kwargs["ContinuationToken"] = token
-        page = self._s3.list_objects_v2(**kwargs)
-        keys = [item["Key"] for item in page.get("Contents", [])]
-        next_token = (
-            page.get("NextContinuationToken") if page.get("IsTruncated")
-            else None
-        )
-        return keys, next_token
-
-    def list_objects(self, prefix: str = "") -> list[str]:
-        keys: list[str] = []
-        token: str | None = None
-        while True:
-            page, token = self.list_objects_page(prefix, token)
-            keys.extend(page)
-            if token is None:
-                return keys
-
-
-# ----------------------------------------------------------------------
-# URL resolution
-# ----------------------------------------------------------------------
-
-#: Named in-process buckets behind ``mem://<name>`` URLs: every resolve
-#: of the same name (within one process) reaches the same bucket, so a
-#: coordinator and in-process workers can share a store without a disk.
-_MEMORY_BUCKETS: dict[str, MemoryBucket] = {}
-_MEMORY_BUCKETS_LOCK = threading.Lock()
-
-
-def memory_bucket(name: str) -> MemoryBucket:
-    """The process-wide bucket behind ``mem://name`` (created on demand)."""
-    with _MEMORY_BUCKETS_LOCK:
-        bucket = _MEMORY_BUCKETS.get(name)
-        if bucket is None:
-            bucket = _MEMORY_BUCKETS[name] = MemoryBucket()
-        return bucket
-
-
-#: One stateful fault injector per schedule file per process, so the
-#: schedule's fail-first-K counters span every backend this process
-#: resolves (the semantics :class:`FaultSchedule` documents).
-_FAULT_INJECTORS: dict[str, Callable[[str, str], None]] = {}
-
-
-def _env_fault_injector() -> Callable[[str, str], None] | None:
-    """The process-wide injector from ``REPRO_STORE_FAULTS``, if set."""
-    from repro.experiments import resilience
-
-    path = os.environ.get(resilience.FAULTS_ENV, "").strip()
-    if not path:
-        return None
-    injector = _FAULT_INJECTORS.get(path)
-    if injector is None:
-        injector = resilience.FaultSchedule.load(path).injector()
-        _FAULT_INJECTORS[path] = injector
-    return injector
-
-
-def _resilient(backend: StoreBackend, boto3: bool = False) -> StoreBackend:
-    """Wrap an object-store backend in the retry/breaker layer.
-
-    ``REPRO_STORE_RESILIENCE=off`` (or ``0``/``false``/``no``) returns
-    the raw backend — the escape hatch for debugging whether the
-    resilience layer itself is misbehaving.
-    """
-    from repro.experiments import resilience
-
-    if os.environ.get(resilience.RESILIENCE_ENV, "").strip().lower() in (
-        "off", "0", "false", "no",
-    ):
-        return backend
-    classify = resilience.classify_boto3 if boto3 else resilience.classify_default
-    return resilience.ResilientBackend(backend, classify=classify)
-
-
-def resolve_backend(target) -> StoreBackend | None:
-    """Map a store target onto a :class:`StoreBackend`.
-
-    Accepted forms:
-
-    * ``None`` → ``None`` (memory-only store, no coordination layer);
-    * a :class:`StoreBackend` → returned as-is;
-    * a path or ``file://PATH`` URL → :class:`LocalFSBackend`;
-    * ``mem://NAME`` → object store over a process-wide named
-      :class:`MemoryBucket` (tests, single-process demos);
-    * ``fakes3://DIR`` → object store over a :class:`DirectoryBucket`
-      (multi-process fleets without cloud credentials — CI's two-worker
-      object-store smoke runs on this);
-    * ``s3://BUCKET[/PREFIX]`` → :class:`Boto3ObjectStore` (needs the
-      optional boto3 dependency).
-
-    Every object-store form resolves wrapped in a
-    :class:`~repro.experiments.resilience.ResilientBackend`
-    (retry/backoff/circuit-breaker; ``s3://`` classifies errors via the
-    boto3 mapping) unless ``REPRO_STORE_RESILIENCE=off``.  The local
-    filesystem backend stays raw — its error behaviour is part of the
-    historical layout contract — though wrapping one explicitly works.
-    When ``REPRO_STORE_FAULTS`` names a
-    :class:`~repro.experiments.resilience.FaultSchedule` JSON file, the
-    fake stores (``mem`` / ``fakes3``) resolve with that schedule's
-    error injector attached — the seam the chaos suites and the CI
-    ``chaos-smoke`` job use to brown out real worker subprocesses.
-
-    Unknown URL schemes raise ``ValueError`` rather than silently being
-    treated as relative directories.
+def resolve_backend(target) -> LocalFSBackend | None:
+    """Map a store target onto a :class:`LocalFSBackend`.
+
+    Accepted forms: ``None`` → ``None`` (memory-only store, no
+    coordination layer); a :class:`LocalFSBackend` (or subclass) →
+    returned as-is; a path or ``file://PATH`` URL → a backend over that
+    directory.  Any other URL scheme raises ``ValueError`` rather than
+    silently being treated as a relative directory.
     """
     if target is None:
         return None
-    if isinstance(target, StoreBackend):
+    if isinstance(target, LocalFSBackend):
         return target
     if isinstance(target, os.PathLike):
         return LocalFSBackend(target)
@@ -869,44 +175,9 @@ def resolve_backend(target) -> StoreBackend | None:
     if "://" not in text:
         return LocalFSBackend(text)
     scheme, rest = text.split("://", 1)
-    scheme = scheme.lower()
-    if scheme == "file":
+    if scheme.lower() == "file":
         return LocalFSBackend(rest)
-    if scheme == "mem":
-        name = rest.strip("/") or "default"
-        return _resilient(ObjectStoreBackend(
-            FakeObjectStore(memory_bucket(name),
-                            error_injector=_env_fault_injector()),
-            url=f"mem://{name}",
-        ))
-    if scheme == "fakes3":
-        root = Path(rest)
-        return _resilient(ObjectStoreBackend(
-            FakeObjectStore(DirectoryBucket(root),
-                            error_injector=_env_fault_injector()),
-            url=f"fakes3://{root}",
-        ))
-    if scheme == "s3":
-        bucket, _, prefix = rest.partition("/")
-        if not bucket:
-            raise ValueError(f"s3 URL needs a bucket: {text!r}")
-        return _resilient(ObjectStoreBackend(
-            Boto3ObjectStore(bucket), url=text, prefix=prefix
-        ), boto3=True)
     raise ValueError(
-        f"unknown store URL scheme {scheme!r} in {text!r}; "
-        "use file://, mem://, fakes3:// or s3://"
+        f"unknown store URL scheme {scheme.lower()!r} in {text!r}; "
+        "use a directory or a file:// URL"
     )
-
-
-def entry_paths(backend: StoreBackend | None, names) -> list:
-    """Present entry names as path-like values for diagnostics.
-
-    Local backends yield real :class:`pathlib.Path` objects (tests
-    manipulate them directly); object backends yield
-    :class:`~pathlib.PurePosixPath` so callers can still use ``.name`` /
-    ``.suffix`` without implying filesystem access.
-    """
-    if isinstance(backend, LocalFSBackend):
-        return [backend.path(n) for n in names]
-    return [PurePosixPath(n) for n in names]

@@ -46,7 +46,7 @@ class ExperimentConfig:
         Density-tolerance sweep of Figs. 10–11.
     store_url:
         Optional default cell-store target for this profile — a
-        directory or a ``file:// | mem:// | fakes3:// | s3://`` URL (see
+        directory or a ``file://`` URL (see
         :func:`repro.experiments.backends.resolve_backend`).  Deployment
         configuration, not an experiment parameter: it never enters cell
         keys (results are interchangeable between stores) and is never

@@ -3,13 +3,12 @@
 The paper's evaluation protocol is a grid of content-keyed CV *cells*
 (see :mod:`repro.experiments.executor`).  This module turns the grids
 behind the tables and figures into durable **work manifests** that any
-number of worker processes — on one machine, on many machines sharing
-the store directory over a network filesystem, or on a fleet sharing an
-object-store bucket — can split.  Manifests live in the same
-:class:`~repro.experiments.backends.StoreBackend` as the results they
-describe, so every function here accepts a store target in any form
-(directory path, ``file:// | mem:// | fakes3:// | s3://`` URL, a
-:class:`~repro.experiments.store.CellStore` or a raw backend):
+number of worker processes — on one machine, or on many machines sharing
+the store directory over a network filesystem — can split.  Manifests
+live in the same directory as the results they describe, so every
+function here accepts a store target in any form (directory path,
+``file://`` URL, a :class:`~repro.experiments.store.CellStore` or a raw
+:class:`~repro.experiments.backends.LocalFSBackend`):
 
 * :func:`grid_specs` single-sources the cell grid of each named
   experiment (``table2``, ``table4``, ``fig9`` …) from the same spec
@@ -34,8 +33,8 @@ describe, so every function here accepts a store target in any form
   worker exit with its exit code as it happens, restarts crashed workers
   with crash-loop backoff up to a ``max_restarts`` cap, and reports
   per-worker status (restarts, exit-code history) in a final summary —
-  so one SIGKILLed or browned-out worker no longer silently shrinks the
-  fleet until nothing is left.
+  so one SIGKILLed worker no longer silently shrinks the fleet until
+  nothing is left.
 
 Experiments without a cell-backed grid (Table I, Figs. 5–6, the
 ablations) have nothing to distribute; the coordinator computes them
@@ -54,11 +53,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.backoff import BackoffPolicy
-from repro.experiments.backends import (
-    LocalFSBackend,
-    StoreBackend,
-    resolve_backend,
-)
+from repro.experiments.backends import LocalFSBackend, resolve_backend
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import CellSpec, cell_key_for
 from repro.experiments.store import CellStore, SCHEMA_VERSION
@@ -69,7 +64,6 @@ __all__ = [
     "grid_specs",
     "plan_grid",
     "manifest_name",
-    "manifest_path",
     "write_manifest",
     "load_manifests",
     "prune_manifests",
@@ -177,7 +171,7 @@ def plan_grid(
 # ----------------------------------------------------------------------
 
 
-def _backend_of(target) -> StoreBackend | None:
+def _backend_of(target) -> LocalFSBackend | None:
     """Backend behind any accepted store target (see module docstring)."""
     if isinstance(target, CellStore):
         return target.backend
@@ -192,21 +186,15 @@ def manifest_name(units: list[WorkUnit]) -> str:
     return f"plan-{digest}{MANIFEST_SUFFIX}"
 
 
-def manifest_path(store_root: str | Path, units: list[WorkUnit]) -> Path:
-    """Filesystem location of a manifest (filesystem stores only)."""
-    return Path(store_root) / manifest_name(units)
-
-
 def write_manifest(
     store_target, cfg: ExperimentConfig, units: list[WorkUnit]
-):
+) -> Path:
     """Atomically persist a work manifest into the store.
 
     The entry name is content-keyed over the unit keys, so re-planning an
     identical grid rewrites the same entry with the same bytes
     (idempotent); two racing coordinators converge the same way results
-    do.  Returns the manifest's filesystem path for filesystem-backed
-    stores, its entry name otherwise.
+    do.  Returns the manifest's path.
     """
     if not units:
         raise ValueError("refusing to write an empty manifest")
@@ -218,9 +206,7 @@ def write_manifest(
     }
     name = manifest_name(units)
     backend.put_atomic(name, json.dumps(payload, indent=1).encode("utf-8"))
-    if isinstance(backend, LocalFSBackend):
-        return backend.path(name)
-    return name
+    return backend.path(name)
 
 
 #: Parse cache: manifests are immutable once published, so re-parsing
@@ -229,20 +215,12 @@ def write_manifest(
 _MANIFEST_CACHE: dict[tuple[str, str], tuple[float, list[WorkUnit]]] = {}
 
 
-def _manifest_names(backend: StoreBackend) -> list[str]:
-    # Prefix-filtered and paginated: workers poll this every round, and
-    # object stores list server-side in bounded pages — never scan the
-    # whole store (or hold an unbounded listing) for a few manifests.
-    names: list[str] = []
-    token = None
-    while True:
-        page, token = backend.list_page(prefix="plan-", token=token)
-        names.extend(n for n in page if n.endswith(MANIFEST_SUFFIX))
-        if token is None:
-            return names
+def _manifest_names(backend: LocalFSBackend) -> list[str]:
+    return [n for n in backend.list(prefix="plan-")
+            if n.endswith(MANIFEST_SUFFIX)]
 
 
-def _parse_manifest(backend: StoreBackend, name: str) -> list[WorkUnit] | None:
+def _parse_manifest(backend: LocalFSBackend, name: str) -> list[WorkUnit] | None:
     """Parse one manifest (cached); ``None`` when corrupt or vanished."""
     stamp = backend.mtime(name)
     if stamp is None:
@@ -332,12 +310,11 @@ def prune_manifests(store: CellStore) -> int:
 def pending_units(store: CellStore, units: list[WorkUnit]) -> list[WorkUnit]:
     """Units whose result has not landed in the store yet.
 
-    Uses the store's *batched* existence probe — one backend listing per
-    call, not one round trip per unit: polling loops call this every few
-    hundred milliseconds over whole grids, and per-key HEAD probes on an
-    object-store backend would blow the poll interval.  Nothing is
-    deserialised (loading every landed cell in every poller would cost
-    O(grid) memory per process).
+    Uses the store's *batched* existence probe (see
+    :meth:`CellStore.filter_missing`): polling loops call this every few
+    hundred milliseconds over whole grids.  Nothing is deserialised
+    (loading every landed cell in every poller would cost O(grid) memory
+    per process).
     """
     missing = set(store.filter_missing("cell", [u.key for u in units]))
     return [u for u in units if u.key in missing]
@@ -427,30 +404,18 @@ def spawn_workers(
     claim_order: str | None = None,
     stagger: int = 0,
     extra_args: list[str] | None = None,
-    env: dict | None = None,
 ) -> list[subprocess.Popen]:
-    """Launch local worker processes against a shared store.
+    """Launch local worker processes against a shared store directory.
 
-    ``store_root`` may be a directory or any store URL that resolves
-    across processes (``file://`` / ``fakes3://`` / ``s3://`` —
-    ``mem://`` buckets are per-process and cannot be shared with spawned
-    workers).  With ``stagger > 0`` (and no explicit ``claim_order``)
-    worker ``i`` claims in ``rotate:i*stagger`` order, so a fleet starts
-    spread over the grid instead of racing for the same first cell.
-    ``env`` adds/overrides environment variables in the workers only —
-    the chaos suites use it to point ``REPRO_STORE_FAULTS`` at a fault
-    schedule the coordinator itself must not see.
+    With ``stagger > 0`` (and no explicit ``claim_order``) worker ``i``
+    claims in ``rotate:i*stagger`` order, so a fleet starts spread over
+    the grid instead of racing for the same first cell.
     """
-    worker_env = None
-    if env:
-        worker_env = dict(os.environ)
-        worker_env.update({k: str(v) for k, v in env.items()})
     return [
         subprocess.Popen(
             worker_command(store_root, index, jobs=jobs, lease_ttl=lease_ttl,
                            claim_order=claim_order, stagger=stagger,
                            extra_args=extra_args),
-            env=worker_env,
         )
         for index in range(max(1, n_workers))
     ]
@@ -487,14 +452,13 @@ class FleetSupervisor:
 
     * ``0`` (grid done) and ``3`` (idle timeout) are *benign* — the
       worker finished; nothing to restart;
-    * ``2`` (permanent store error) is *fatal* — a restarted worker
-      fails identically, so the slot is abandoned immediately;
-    * anything else (signal deaths like ``-SIGKILL``, exit ``4`` after
-      an outage outlasted the grace window, crashes) is *restartable*:
-      the slot respawns with its original command after a crash-loop
-      backoff delay (:class:`~repro.backoff.BackoffPolicy`, so a worker
-      dying instantly on start cannot hot-loop), up to ``max_restarts``
-      restarts per slot.
+    * ``2`` (usage error) is *fatal* — the same command fails the same
+      way again, so the slot is abandoned immediately;
+    * anything else (signal deaths like ``-SIGKILL``, crashes) is
+      *restartable*: the slot respawns with its original command after a
+      crash-loop backoff delay (:class:`~repro.backoff.BackoffPolicy`, so
+      a worker dying instantly on start cannot hot-loop), up to
+      ``max_restarts`` restarts per slot.
 
     The coordinator drives :meth:`poll` from its wait loop and uses
     :meth:`fleet_dead` as the abort probe; :meth:`summary` is the
@@ -578,7 +542,7 @@ class FleetSupervisor:
                 elif code in self.FATAL_EXITS:
                     slot.gave_up = True
                     self._log(
-                        f"worker {slot.index} hit a permanent store error "
+                        f"worker {slot.index} exited with a usage error "
                         f"(exit {code}); not restarting"
                     )
                 elif slot.restarts >= self.max_restarts:

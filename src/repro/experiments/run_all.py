@@ -10,8 +10,6 @@ Usage::
     python -m repro.experiments.run_all --no-cache      # ignore disk store
     python -m repro.experiments.run_all --distributed --workers 4
     python -m repro.experiments.run_all --workers-external --store /mnt/grid
-    python -m repro.experiments.run_all table2 --distributed \
-        --store-url fakes3://bucket-dir    # object-store backend
 
 Results are printed as text reports and, with ``--json DIR``, also dumped
 as JSON for post-processing.
@@ -36,11 +34,8 @@ externally started workers (other machines sharing the directory) at the
 same ``--store`` and the coordinator just plans, waits and assembles.
 Either way the results are bit-identical to a serial run.
 
-``--store`` / ``--store-url`` selects the storage backend: a directory
-(or ``file://`` URL) keeps the historical filesystem layout, while
-``fakes3://DIR`` / ``s3://bucket/prefix`` run the same claim/lease
-protocol over object-store conditional-put semantics — see
-``docs/architecture/store-backends.md``.
+``--store`` / ``--store-url`` selects the store directory (a path or a
+``file://`` URL) — see ``docs/architecture/store-backends.md``.
 """
 
 from __future__ import annotations
@@ -122,14 +117,6 @@ def _coordinate(args, cfg, selected: list[str]) -> None:
             "distributed mode needs a persistent store "
             "(is REPRO_CELLSTORE=off?)"
         )
-    # Distributed execution means *other processes* must reach the store;
-    # mem:// buckets are per-process, so spawned and external workers
-    # alike would wait on a grid they can never see.
-    if store.url.startswith("mem://"):
-        raise RuntimeError(
-            "mem:// stores are per-process; workers cannot share them — "
-            "use a directory, file:// or fakes3:// store"
-        )
     cell_backed = [n for n in selected if n in dispatch.GRID_EXPERIMENTS]
     units = dispatch.plan_grid(cfg, cell_backed) if cell_backed else []
     units = dispatch.pending_units(store, units)
@@ -144,7 +131,7 @@ def _coordinate(args, cfg, selected: list[str]) -> None:
 
     # The manifest exists before any worker starts, so one that finds none
     # (it started after its peers finished the grid) exits 0, not idles.
-    extra_args = ["--outage-grace", str(args.outage_grace), "--plan-written"]
+    extra_args = ["--plan-written"]
     if args.store_codec:
         extra_args += ["--store-codec", args.store_codec]
 
@@ -271,15 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-restarts", type=int, default=2, metavar="N",
                         help="restarts per crashed worker slot before the "
                              "supervisor gives up on it (default: 2)")
-    parser.add_argument("--outage-grace", type=float, default=60.0,
-                        metavar="S",
-                        help="seconds each worker keeps polling through a "
-                             "store outage before exiting (default: 60)")
     parser.add_argument("--store", "--store-url", dest="store",
                         metavar="DIR_OR_URL", default=None,
-                        help="cell store: a directory or a file:// / "
-                             "mem:// / fakes3:// / s3:// URL (default: "
-                             "benchmarks/output/cellstore, "
+                        help="cell store: a directory or a file:// URL "
+                             "(default: benchmarks/output/cellstore, "
                              "$REPRO_CELLSTORE_DIR, or the profile's "
                              "store_url)")
     parser.add_argument("--poll", type=float, default=0.5, metavar="S",

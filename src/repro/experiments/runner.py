@@ -74,10 +74,9 @@ def configure_store(
 
     ``configure_store(store=s)`` installs ``s`` as-is;
     ``configure_store(root=target)`` rebuilds the store over ``target`` —
-    a directory, a ``file:// | mem:// | fakes3:// | s3://`` store URL or
-    ``None`` for memory-only; ``configure_store(persist=False)`` keeps
-    the current location but disables durable writes/reads (the
-    ``--no-cache`` path).  ``codec`` selects the payload compression
+    a directory, a ``file://`` URL or ``None`` for memory-only;
+    ``configure_store(persist=False)`` keeps the current location but
+    disables durable writes/reads (the ``--no-cache`` path).  ``codec`` selects the payload compression
     codec for new writes (``None`` keeps the default resolution — the
     ``REPRO_STORE_CODEC`` environment knob, then zlib).
     """

@@ -9,45 +9,40 @@ values through two layers:
 
 * an in-process **memory layer** (a plain dict), which preserves the old
   ``_CELL_CACHE``-style object identity within a session, and
-* a **durable layer** behind a pluggable
-  :class:`~repro.experiments.backends.StoreBackend` (one entry per key,
+* a **durable layer** in one directory, through
+  :class:`~repro.experiments.backends.LocalFSBackend` (one file per key,
   named ``<kind>-<sha256 prefix>.npz|.json``), which lets an interrupted
   table/figure regeneration *resume* instead of recompute and lets
   parallel workers share results across runs and machines.
 
-The default backend is the local filesystem under
-``benchmarks/output/cellstore/`` with a byte-identical layout to every
-earlier release (existing stores resume without migration); ``mem://``,
-``fakes3://`` and ``s3://`` URLs select object-store backends where
-atomic rename becomes an atomic per-key put — see
-:mod:`repro.experiments.backends`.  Writes are atomic either way, so
+The default location is ``benchmarks/output/cellstore/``, with a
+byte-identical layout to every earlier release (existing stores resume
+without migration).  Writes are atomic (temp file + rename), so
 concurrent writers can never expose a torn entry; unreadable/corrupt
 entries are deleted and treated as misses, so a damaged store heals
 itself by recomputation.
 
 **Claims and leases.**  The durable layer doubles as a work queue for
 distributed execution (many worker processes — possibly on many machines
-sharing a network filesystem directory or an object-store bucket —
-splitting one grid).  ``try_claim(kind, key, owner)`` creates
-``<kind>-<digest>.claim`` exclusively (``O_CREAT | O_EXCL`` on
-filesystems, a conditional put on object stores), so exactly one worker
-wins each entry; the holder heartbeats via :meth:`refresh_claim` (an
-atomic rewrite that advances the entry's modification timestamp) and
-removes the claim with :meth:`release_claim` when the result has been
-written.  A claim whose timestamp is older than the store's
-``lease_ttl`` is *stale* — its owner is presumed dead — and is reaped by
+sharing a network filesystem directory — splitting one grid).
+``try_claim(kind, key, owner)`` creates ``<kind>-<digest>.claim``
+exclusively (``O_CREAT | O_EXCL``), so exactly one worker wins each
+entry; the holder heartbeats via :meth:`refresh_claim` (an atomic
+rewrite that advances the file's mtime) and removes the claim with
+:meth:`release_claim` when the result has been written.  A claim whose
+mtime is older than the store's ``lease_ttl`` is *stale* — its owner is presumed dead — and is reaped by
 the next claimer, so a SIGKILLed worker delays its cell by at most one
 TTL.  Truncated or otherwise unreadable claim files (a crash between the
-exclusive create and the payload write leaves a zero-byte file on the
-filesystem backend) carry no owner information but still age by
-timestamp, so they too expire and can never deadlock the grid.
+exclusive create and the payload write leaves a zero-byte file) carry no
+owner information but still age by mtime, so they too expire and can
+never deadlock the grid.
 
 The invariant that makes all of this safe: **claims are an efficiency
 device, not a correctness device**.  Results are content-keyed and every
 computation is deterministic, so if two workers ever compute the same
 entry (a lease reaped from a live-but-stalled owner, a heartbeat lost to
-a reap race), both write byte-identical entries through the backend's
-atomic put and the store still converges to the single correct value.
+a reap race), both write byte-identical entries through the atomic
+rename and the store still converges to the single correct value.
 
 **Compressed payloads.**  Result entries are written through a
 *compress-once / decode-many* codec (``zlib`` by default — cells are
@@ -64,7 +59,7 @@ codecs stay *readable* but duplicated computations then converge in
 value rather than byte-for-byte.
 
 Environment knobs: ``REPRO_CELLSTORE_DIR`` overrides the store location
-(a directory or any ``file:// | mem:// | fakes3:// | s3://`` URL),
+(a directory or a ``file://`` URL),
 ``REPRO_CELLSTORE=off`` disables the durable layer entirely,
 ``REPRO_STORE_CODEC`` selects the payload codec (``zlib`` | ``lzma`` |
 ``none``; the ``--store-codec`` flags override it).
@@ -87,12 +82,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.evaluation.cross_validation import CVResult
-from repro.experiments.backends import (
-    LocalFSBackend,
-    StoreBackend,
-    entry_paths,
-    resolve_backend,
-)
+from repro.experiments.backends import LocalFSBackend, resolve_backend
 
 __all__ = [
     "CellStore",
@@ -198,12 +188,12 @@ def cellstore_disabled() -> bool:
 def default_store_root() -> str | Path | None:
     """Store location: ``$REPRO_CELLSTORE_DIR`` or benchmarks/output/cellstore.
 
-    ``REPRO_CELLSTORE_DIR`` may be a directory or a store URL
-    (``file:// | mem:// | fakes3:// | s3://``).  The directory default is
-    anchored to the source checkout (three levels above this file), not
-    the current working directory, so resumed runs find the same store no
-    matter where the process was launched; outside a checkout (installed
-    package) it falls back to the working directory.  Returns ``None``
+    ``REPRO_CELLSTORE_DIR`` may be a directory or a ``file://`` URL.
+    The directory default is anchored to the source checkout (three
+    levels above this file), not the current working directory, so
+    resumed runs find the same store no matter where the process was
+    launched; outside a checkout (installed package) it falls back to
+    the working directory.  Returns ``None``
     when ``REPRO_CELLSTORE`` is ``off``/``0`` (durable layer disabled).
     """
     if cellstore_disabled():
@@ -218,15 +208,14 @@ def default_store_root() -> str | Path | None:
 
 
 class CellStore:
-    """Two-layer (memory + durable backend) store of content-keyed results.
+    """Two-layer (memory + directory) store of content-keyed results.
 
     Parameters
     ----------
     root:
-        Durable-layer target: a directory path, a store URL
-        (``file:// | mem:// | fakes3:// | s3://``), a ready-made
-        :class:`~repro.experiments.backends.StoreBackend`, or ``None``
-        for a memory-only store.
+        Durable-layer target: a directory path, a ``file://`` URL, a
+        ready-made :class:`~repro.experiments.backends.LocalFSBackend`,
+        or ``None`` for a memory-only store.
     persist:
         Master switch for the durable layer (``False`` keeps only the
         memory layer even when ``root`` is set) — this is what
@@ -238,9 +227,8 @@ class CellStore:
     clock:
         Time source leases age against (tests inject a fake clock so
         lease-expiry scenarios advance time instead of sleeping).  Must
-        share an epoch with the backend's modification timestamps; the
-        default — and the only sensible production value — is
-        ``time.time``.
+        share an epoch with file mtimes; the default — and the only
+        sensible production value — is ``time.time``.
     codec:
         Payload codec new entries are written with (``zlib`` | ``lzma``
         | ``none``; default: ``REPRO_STORE_CODEC`` or ``zlib``).  Reads
@@ -259,7 +247,7 @@ class CellStore:
 
     def __init__(
         self,
-        root: str | Path | StoreBackend | None,
+        root: str | Path | LocalFSBackend | None,
         persist: bool = True,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         clock: Callable[[], float] = time.time,
@@ -286,7 +274,6 @@ class CellStore:
         #: of store size: known-landed keys never pay another round trip.
         self._landed: dict[str, set[str]] = {}
         self.probe_limit = self.PROBE_LIMIT
-        self.page_limit = StoreBackend.DEFAULT_PAGE_LIMIT
         self.stats = self._fresh_stats()
 
     def _fresh_stats(self) -> dict:
@@ -301,29 +288,21 @@ class CellStore:
             "encoded_stored_bytes": 0,
             "decoded_by_codec": {},
             "healed_entries": 0,
-            # pagination accounting (listing pages fetched / key probes)
-            "list_pages": 0,
+            # per-key probes paid by polling (the landed-cache misses)
             "landed_probes": 0,
         }
 
     @property
     def root(self) -> Path | None:
-        """Directory of a filesystem-backed store; ``None`` otherwise.
-
-        Object-store backends have no filesystem root — use :attr:`url`
-        for a location that round-trips through worker command lines.
-        """
-        if isinstance(self.backend, LocalFSBackend):
-            return self.backend.root
-        return None
+        """Directory of the durable layer; ``None`` if memory-only."""
+        return None if self.backend is None else self.backend.root
 
     @property
     def url(self) -> str | None:
-        """Backend URL (``file://…``, ``mem://…``, …); ``None`` if memory-only.
+        """``file://`` URL of the durable layer; ``None`` if memory-only.
 
         This is the form the coordinator hands to spawned workers: any
-        process that resolves the same URL reaches the same store
-        (``mem://`` only within one process).
+        process that resolves the same URL reaches the same store.
         """
         return None if self.backend is None else self.backend.url
 
@@ -381,8 +360,8 @@ class CellStore:
         every probe) cost nothing; the remaining *unknown* keys pay
         per-key ``exists`` probes when few (≤ :attr:`probe_limit` —
         steady-state cost then scales with pending work, never with how
-        many cells have landed), or one bounded-page listing sweep when
-        many (which also reseeds the cache).  Same optimism as
+        many cells have landed), or one directory listing when many
+        (which also reseeds the cache).  Same optimism as
         :meth:`has`: a torn entry counts as present until a decode heals
         it — healing evicts it from the cache.
         """
@@ -409,7 +388,7 @@ class CellStore:
             return missing
         suffix = self._EXT[kind]
         fresh = {
-            n for n in self._list_all(prefix=f"{kind}-")
+            n for n in self.backend.list(prefix=f"{kind}-")
             if n.endswith(suffix)
         }
         self._landed[kind] = fresh
@@ -432,11 +411,11 @@ class CellStore:
     def put(self, kind: str, key: str, value: Any, persist: bool = True) -> None:
         """Store ``value`` in memory and (for persistable kinds) durably.
 
-        The durable write is atomic (temp file + rename, or a single
-        object put), so a concurrent reader sees the previous entry or
-        the new one — never a mix.  Identical recomputations overwrite
-        with identical bytes, which is what lets duplicated distributed
-        work converge instead of conflict.
+        The durable write is atomic (temp file + rename), so a
+        concurrent reader sees the previous entry or the new one — never
+        a mix.  Identical recomputations overwrite with identical bytes,
+        which is what lets duplicated distributed work converge instead
+        of conflict.
         """
         self.stats["puts"] += 1
         self._memory[(kind, key)] = value
@@ -451,24 +430,19 @@ class CellStore:
         """Delete every durable entry, claim and spool (memory survives)."""
         if self.backend is None:
             return
-        for name in self._list_all():
+        for name in self.backend.list():
             if name.endswith((".npz", ".json", ".claim")):
                 self.backend.delete(name)
         for name in self.backend.stray_spools():
             self.backend.delete(name)
         self._landed.clear()
 
-    def disk_entries(self) -> list:
-        """Path-like names of all persisted entries (diagnostics, tests).
-
-        Filesystem stores return real :class:`~pathlib.Path` objects;
-        object stores return :class:`~pathlib.PurePosixPath` entry names
-        (``.name``/``.suffix`` work, filesystem access does not).
-        """
+    def disk_entries(self) -> list[Path]:
+        """Paths of all persisted entries (diagnostics, tests)."""
         if self.backend is None:
             return []
-        names = [n for n in self._list_all() if n.endswith((".npz", ".json"))]
-        return entry_paths(self.backend, names)
+        return [self.backend.path(n) for n in self.backend.list()
+                if n.endswith((".npz", ".json"))]
 
     # -- claims / leases -----------------------------------------------
 
@@ -476,10 +450,8 @@ class CellStore:
         """Backend entry name of the claim guarding ``(kind, key)``."""
         return f"{kind}-{self._digest(key)}.claim"
 
-    def claim_path(self, kind: str, key: str) -> Path | None:
-        """Filesystem path of a claim; ``None`` for non-filesystem stores."""
-        if not isinstance(self.backend, LocalFSBackend):
-            return None
+    def claim_path(self, kind: str, key: str) -> Path:
+        """Filesystem path of the claim guarding ``(kind, key)``."""
         return self.backend.path(self.claim_name(kind, key))
 
     def try_claim(self, kind: str, key: str, owner: str) -> bool:
@@ -488,9 +460,9 @@ class CellStore:
         Returns ``True`` when this caller now holds the claim (stale and
         expired-corrupt claims are reaped first), ``False`` when another
         owner holds a live claim.  Exactly one concurrent caller can win:
-        the backend's exclusive create (``O_EXCL`` / conditional put) is
-        the arbiter.  Stores without a durable layer have no peers to
-        coordinate with, so every claim trivially succeeds.
+        the ``O_EXCL`` create is the arbiter.  Stores without a durable
+        layer have no peers to coordinate with, so every claim trivially
+        succeeds.
         """
         if self.backend is None or not self.persist:
             return True
@@ -501,7 +473,7 @@ class CellStore:
         )
 
     def refresh_claim(self, kind: str, key: str, owner: str) -> bool:
-        """Heartbeat a held lease (atomic rewrite advances its timestamp).
+        """Heartbeat a held lease (atomic rewrite advances its mtime).
 
         Returns ``False`` when the lease was lost — the claim is gone or
         a different owner holds it (it went stale and was reaped).  The
@@ -554,8 +526,8 @@ class CellStore:
         The batched form of :meth:`claim_is_live` for polling loops.
         Few keys (≤ :attr:`probe_limit`) pay one ``mtime`` probe each —
         cost proportional to pending work, independent of store size.
-        Many keys fall back to one bounded-page listing sweep, and only
-        the claims found pay a timestamp probe.
+        Many keys fall back to one directory listing, and only the
+        claims found pay a timestamp probe.
         """
         if self.backend is None:
             return False
@@ -569,7 +541,7 @@ class CellStore:
                     return True
             return False
         present = {
-            n for n in self._list_all(prefix=f"{kind}-")
+            n for n in self.backend.list(prefix=f"{kind}-")
             if n.endswith(".claim")
         }
         for key in keys:
@@ -594,32 +566,30 @@ class CellStore:
         """Entry names of every claim currently in the store."""
         if self.backend is None:
             return []
-        return [n for n in self._list_all() if n.endswith(".claim")]
+        return [n for n in self.backend.list() if n.endswith(".claim")]
 
-    def claim_files(self) -> list:
-        """Every claim in the store as path-like values (see
-        :meth:`disk_entries` for the filesystem/object distinction)."""
-        return entry_paths(self.backend, self.claim_names())
+    def claim_files(self) -> list[Path]:
+        """Paths of every claim in the store."""
+        return [self.backend.path(n) for n in self.claim_names()]
 
-    def stale_claim_files(self) -> list:
+    def stale_claim_files(self) -> list[Path]:
         """Claims whose lease has expired (owner presumed dead)."""
-        names = [n for n in self.claim_names() if self._is_stale(n)]
-        return entry_paths(self.backend, names)
+        return [self.backend.path(n) for n in self.claim_names()
+                if self._is_stale(n)]
 
     def reap_stale(self) -> int:
         """Remove expired claims and orphaned ``.tmp`` spool files.
 
-        A SIGKILLed writer can leave a ``.tmp`` behind on the filesystem
-        backend (the atomic-rename spool of an in-flight result); object
-        backends never list spool artifacts.  Anything older than the
-        lease TTL cannot belong to a live writer.  Returns the number of
-        entries removed.
+        A SIGKILLed writer can leave a ``.tmp`` behind (the atomic-rename
+        spool of an in-flight result).  Anything older than the lease TTL
+        cannot belong to a live writer.  Returns the number of entries
+        removed.
         """
         if self.backend is None:
             return 0
         reaped = 0
         stale_candidates = [
-            n for n in self._list_all() if n.endswith(".claim")
+            n for n in self.backend.list() if n.endswith(".claim")
         ] + self.backend.stray_spools()
         for name in stale_candidates:
             if self._is_stale(name):
@@ -640,8 +610,8 @@ class CellStore:
         ).encode("utf-8")
 
     def _is_stale(self, name: str) -> bool:
-        """Lease expiry by modification timestamp (meaningful even for
-        torn claims, which carry no readable payload)."""
+        """Lease expiry by mtime (meaningful even for torn claims, which
+        carry no readable payload)."""
         mtime = self.backend.mtime(name)
         if mtime is None:
             return False
@@ -660,23 +630,6 @@ class CellStore:
 
     def _entry_name(self, kind: str, key: str) -> str:
         return f"{kind}-{self._digest(key)}{self._EXT[kind]}"
-
-    def _path(self, kind: str, key: str) -> Path:
-        """Filesystem path of an entry (filesystem-backed stores only)."""
-        return self.backend.path(self._entry_name(kind, key))
-
-    def _list_all(self, prefix: str = "") -> list[str]:
-        """Full listing via bounded pages (one round trip per page)."""
-        names: list[str] = []
-        token = None
-        while True:
-            page, token = self.backend.list_page(
-                prefix=prefix, token=token, limit=self.page_limit
-            )
-            self.stats["list_pages"] += 1
-            names.extend(page)
-            if token is None:
-                return names
 
     def _read(self, kind: str, key: str) -> Any | None:
         name = self._entry_name(kind, key)
@@ -735,7 +688,7 @@ class CellStore:
         }
         if self.backend is None:
             return report
-        for name in self._list_all():
+        for name in self.backend.list():
             if not name.endswith((".npz", ".json")):
                 continue
             payload = self.backend.get(name)
@@ -820,19 +773,16 @@ class ClaimHeartbeat:
     silently: the computation still finishes and stores its (idempotent)
     result, but must not stomp the new owner's claim.
 
-    **Refresh errors do not kill the heartbeat.**  Historically any
-    exception out of :meth:`CellStore.refresh_claim` killed this thread
-    silently, so one store blip expired a *live* lease mid-computation
-    and triggered exactly the duplicate-compute stampede the heartbeat
-    exists to prevent.  Now a failed refresh retries in-thread on a
-    tighter cadence (quarter interval, so several attempts fit inside
-    one TTL) until the store answers again — a successful refresh after
-    an outage re-stamps the lease — and the outcome is surfaced as two
-    distinct flags: ``lost`` (the lease was reaped; the result is still
-    stored, the claim must not be stomped) vs ``failed`` (the store
-    rejected the refresh permanently, e.g. ``AccessDenied``; the worker
-    loop should surface it, not recompute).  ``refresh_errors`` counts
-    the weathered blips for diagnostics.
+    **Refresh errors do not kill the heartbeat.**  Any exception out of
+    :meth:`CellStore.refresh_claim` (an NFS hiccup, say) would otherwise
+    kill this thread silently, expire a *live* lease mid-computation and
+    trigger exactly the duplicate-compute stampede the heartbeat exists
+    to prevent.  A failed refresh instead retries in-thread on a tighter
+    cadence (quarter interval, so several attempts fit inside one TTL)
+    until the store answers again, and a successful refresh re-stamps
+    the lease.  ``lost`` reports a reaped lease (the result is still
+    stored, the claim must not be stomped); ``refresh_errors`` counts
+    the weathered errors for diagnostics.
     """
 
     def __init__(self, store: CellStore, kind: str, key: str, owner: str,
@@ -845,27 +795,19 @@ class ClaimHeartbeat:
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self.lost = False
-        self.failed = False
         self.refresh_errors = 0
 
     def _run(self) -> None:
-        from repro.experiments.resilience import StorePermanentError
-
         wait = self._interval
         while not self._stop.wait(wait):
             try:
                 alive = self._store.refresh_claim(
                     self._kind, self._key, self._owner
                 )
-            except StorePermanentError:
-                self.failed = True
-                return
             except Exception:
-                # Transient store trouble (retries already exhausted by
-                # the resilient backend, or a raw backend hiccup): keep
-                # the thread alive and retry sooner than the normal
+                # Keep the thread alive and retry sooner than the normal
                 # cadence, so the lease is re-stamped the moment the
-                # store recovers.
+                # store answers again.
                 self.refresh_errors += 1
                 wait = max(self._interval / 4.0, 0.05)
                 continue

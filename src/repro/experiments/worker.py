@@ -3,25 +3,23 @@
 Usage::
 
     python -m repro.experiments.worker --store DIR --jobs N
-    python -m repro.experiments.worker --store-url fakes3://BUCKET_DIR
-    python -m repro.experiments.worker --store-url s3://bucket/prefix
 
 A worker points at a shared :class:`~repro.experiments.store.CellStore`
-— a directory, or any store URL resolved by
-:func:`repro.experiments.backends.resolve_backend` (``file://`` /
-``fakes3://`` / ``s3://``; ``--store`` and ``--store-url`` are the same
-flag) — reads the work manifests a coordinator wrote there
-(:mod:`repro.experiments.dispatch`), and loops: claim a pending cell
-(exclusive claim entry — ``O_EXCL`` file or conditional put — with a
-heartbeat lease), execute it through the existing
-:class:`~repro.experiments.executor.ExperimentExecutor` / data-plane
-stack (``--jobs`` fans the cell's folds over a local process pool),
-flush the result, release the claim.  It exits when every manifest cell
-has a result.  A worker started *before* its coordinator (the natural
-multi-node order) waits up to ``--max-idle`` seconds for a manifest to
-appear, then exits with status 3 if none ever did.  A spawner that wrote
-the manifest first passes ``--plan-written``: finding no manifest then
-means the grid already finished and was pruned, so the worker exits 0.
+directory (``--store`` and ``--store-url`` are the same flag; both also
+take a ``file://`` URL), reads the work manifests a coordinator wrote
+there (:mod:`repro.experiments.dispatch`), and loops: claim a pending
+cell (an ``O_EXCL`` claim file with a heartbeat lease), execute it
+through the existing :class:`~repro.experiments.executor.ExperimentExecutor`
+/ data-plane stack (``--jobs`` fans the cell's folds over a local
+process pool), flush the result, release the claim.  It exits when every
+manifest cell has a result.  A worker started *before* its coordinator
+(the natural multi-node order) waits up to ``--max-idle`` seconds for a
+manifest to appear, then exits with status 3 if none ever did.  A
+spawner that wrote the manifest first passes ``--plan-written``: finding
+no manifest then means the grid already finished and was pruned, so the
+worker exits 0.  A bad command line exits 2 (argparse's usage error),
+which the fleet supervisor never restarts: the same command would fail
+the same way again.
 
 Fault model (the invariants the fault-injection suite pins down):
 
@@ -38,8 +36,8 @@ Fault model (the invariants the fault-injection suite pins down):
 
 ``--claim-order`` is the deterministic interleaving seam: it permutes
 the order a worker attempts claims in (``sorted`` | ``reversed`` |
-``rotate:N``), which the parity tests sweep to show results are
-bit-identical for *any* claim interleaving.
+``rotate:N`` | ``lru``), which the parity tests sweep to show results
+are bit-identical for *any* claim interleaving.
 """
 
 from __future__ import annotations
@@ -47,13 +45,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
-from repro.experiments.resilience import (
-    StorePermanentError,
-    StoreUnavailableError,
-)
 from repro.experiments.store import (
     DEFAULT_LEASE_TTL,
     CellStore,
@@ -68,11 +63,6 @@ __all__ = [
     "worker_loop",
     "main",
 ]
-
-#: Default seconds a worker keeps polling through a store outage before
-#: giving up (exit code 4).  Sized to ride out a typical object-store
-#: brownout (tens of seconds) without masking a real dead store for long.
-DEFAULT_OUTAGE_GRACE = 60.0
 
 
 def default_owner() -> str:
@@ -126,8 +116,10 @@ def claim_order_from(spec: str):
         return LeastRecentlyAttempted()
     if spec == "reversed":
         return lambda units: sorted(units, key=lambda u: u.key, reverse=True)
-    if spec.startswith("rotate:"):
-        shift = int(spec.split(":", 1)[1])
+    rotation = re.fullmatch(r"rotate:(-?[0-9]+)", spec)
+    if rotation:
+        shift = int(rotation.group(1))
+
         def rotate(units):
             ordered = sorted(units, key=lambda u: u.key)
             if not ordered:
@@ -136,8 +128,18 @@ def claim_order_from(spec: str):
             return ordered[k:] + ordered[:k]
         return rotate
     raise ValueError(
-        f"unknown claim order {spec!r}; use sorted, reversed or rotate:N"
+        f"unknown claim order {spec!r}; use sorted, reversed, rotate:N "
+        "or lru"
     )
+
+
+def _claim_order_arg(spec: str):
+    """argparse ``type=`` for ``--claim-order``: a bad value is a usage
+    error (exit 2), not a traceback."""
+    try:
+        return claim_order_from(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def worker_loop(
@@ -149,7 +151,6 @@ def worker_loop(
     heartbeat_interval: float | None = None,
     claim_order=None,
     max_idle: float = 300.0,
-    outage_grace: float = DEFAULT_OUTAGE_GRACE,
     plan_written: bool = False,
     units=None,
     log=None,
@@ -157,30 +158,16 @@ def worker_loop(
 ) -> dict:
     """Claim-and-execute until the manifests' grid is complete.
 
-    ``store_root`` is any store target (directory path, store URL, or a
-    ready :class:`~repro.experiments.store.CellStore`'s backend).
+    ``store_root`` is any store target (directory path, ``file://`` URL,
+    or a ready :class:`~repro.experiments.backends.LocalFSBackend`).
     Returns a stats dict (cells computed, claim conflicts, reaped leases,
-    polling rounds, outage/lease-loss counters plus the resilient
-    backend's retry/breaker counters under ``store_resilience``, and
+    polling rounds, lease-loss and heartbeat-retry counters, and
     ``idle_timeout`` when the loop gave up waiting on peers that stopped
     making progress for ``max_idle`` seconds).
     ``plan_written`` says the manifest predates this worker, so finding
     none means its grid finished and was pruned, not that it is unplanned.
     ``units`` overrides manifest discovery (tests inject a plan directly);
     ``claim_order`` is the interleaving seam (see :func:`claim_order_from`).
-
-    **Outage behaviour.**  A transient store failure
-    (:class:`~repro.experiments.resilience.StoreUnavailableError`, i.e.
-    the resilient backend already exhausted its per-operation retries or
-    its circuit breaker is open) does *not* kill the worker: the loop
-    backs off and keeps polling for up to ``outage_grace`` seconds,
-    resuming exactly where it left off when the store answers again (a
-    cell lost mid-compute is simply reclaimed and recomputed — results
-    are content-keyed and idempotent).  Only an outage outlasting the
-    grace window propagates (exit code 4 from :func:`main`); a
-    :class:`~repro.experiments.resilience.StorePermanentError`
-    (``AccessDenied``-class faults) propagates immediately (exit code 2)
-    because retrying it is a storm, not resilience.
 
     Deletion discipline: this loop only ever deletes *claims it owns*,
     *stale* claims/spools (via :meth:`CellStore.reap_stale`) and
@@ -210,145 +197,102 @@ def worker_loop(
         "reaped_claims": 0,
         "rounds": 0,
         "idle_timeout": False,
-        "outages": 0,
         "lost_leases": 0,
         "heartbeat_retries": 0,
     }
-
-    def release_best_effort(kind: str, key: str) -> None:
-        # Releasing a claim during an outage must not mask the original
-        # error (or crash the outage handler): an unreleased claim has
-        # no heartbeat and ages out by TTL like any orphan.
-        try:
-            store.release_claim(kind, key, owner)
-        except StoreUnavailableError:
-            pass
 
     try:
         last_progress = time.monotonic()
         previous_pending = None
         seen_plan = plan_written
-        outage_since = None
         while True:
-            try:
-                plan = units if units is not None else dispatch.load_manifests(store)
-                if units is None:
-                    outage_since = None  # the manifest listing answered
-                if not plan:
-                    if units is not None or seen_plan:
-                        # Explicitly told there is nothing to do — or the
-                        # plan we worked from (or were spawned for) was
-                        # pruned, which only happens once its grid completed.
-                        break
-                    # No manifests yet: workers legitimately start before
-                    # their coordinator writes the plan (the multi-node
-                    # flow), so wait for one to appear instead of mistaking
-                    # an empty queue for a completed grid.
-                    if time.monotonic() - last_progress > max_idle:
-                        stats["idle_timeout"] = True
-                        break
-                    time.sleep(poll)
-                    continue
-                seen_plan = True
-                pending = dispatch.pending_units(store, plan)
-                outage_since = None  # the pending scan answered: store is back
-                if not pending:
-                    # The pending scan is a cheap stat-level probe; before
-                    # declaring the grid done, decode-check every entry so a
-                    # torn result (healed to a miss here) is recomputed now
-                    # rather than surprising the coordinator's assembly.
-                    if all(store.verify("cell", unit.key) for unit in plan):
-                        if units is None:
-                            dispatch.prune_manifests(store)
-                        break
-                    continue
-                stats["rounds"] += 1
-                if previous_pending is not None and len(pending) < previous_pending:
-                    last_progress = time.monotonic()  # peers are landing cells
-                previous_pending = len(pending)
-                progressed = False
-                # One batched listing guards against cells that landed since
-                # the pending scan; anything landing *after* this snapshot is
-                # still safe — the executor consults the store before
-                # computing, so a claimed-but-landed cell is a pure hit.
-                still_missing = set(
-                    store.filter_missing("cell", [u.key for u in pending])
-                )
-                for unit in order(pending):
-                    if unit.key not in still_missing:
-                        continue  # landed while we worked through the list
-                    note_attempt(unit.key)
-                    if not store.try_claim("cell", unit.key, owner):
-                        stats["claim_conflicts"] += 1
-                        continue
-                    log(f"claimed {unit.spec.code}/{unit.spec.method}/"
-                        f"{unit.spec.classifier}")
-                    beat = ClaimHeartbeat(store, "cell", unit.key, owner,
-                                          interval)
-                    try:
-                        with beat:
-                            executor = ExperimentExecutor(
-                                unit.cfg, n_jobs=jobs, store=store
-                            )
-                            executor.run([unit.spec])
-                    finally:
-                        stats["heartbeat_retries"] += beat.refresh_errors
-                        if beat.lost:
-                            stats["lost_leases"] += 1
-                        release_best_effort("cell", unit.key)
-                    if beat.failed:
-                        raise StorePermanentError(
-                            f"lease refresh rejected permanently while "
-                            f"computing {unit.spec.code}/{unit.spec.method}",
-                            op="refresh_claim",
-                        )
-                    stats["computed"] += 1
-                    progressed = True
-                    last_progress = time.monotonic()
-                    # Cells land continuously while we computed; refresh the
-                    # snapshot (one listing) so peer-landed cells are skipped
-                    # rather than claimed-and-hit.
-                    still_missing = set(
-                        store.filter_missing("cell", [u.key for u in pending])
-                    )
-                if progressed:
-                    continue
-                # Everything pending is claimed by peers: wait for results to
-                # land, reaping any leases (and orphan .tmp spools) whose
-                # owners died so the grid cannot stall behind a crashed peer.
-                store.reap_stale()
-                if store.any_live_claim("cell", [u.key for u in pending]):
-                    # A heartbeated lease is proof a peer is computing (a
-                    # FULL-profile cell can legitimately outlast max_idle);
-                    # only a queue with no live leases counts as stalled.
-                    last_progress = time.monotonic()
+            plan = units if units is not None else dispatch.load_manifests(store)
+            if not plan:
+                if units is not None or seen_plan:
+                    # Explicitly told there is nothing to do — or the plan
+                    # we worked from (or were spawned for) was pruned,
+                    # which only happens once its grid completed.
+                    break
+                # No manifests yet: workers legitimately start before their
+                # coordinator writes the plan (the multi-node flow), so wait
+                # for one to appear instead of mistaking an empty queue for
+                # a completed grid.
                 if time.monotonic() - last_progress > max_idle:
                     stats["idle_timeout"] = True
                     break
                 time.sleep(poll)
-            except StoreUnavailableError as exc:
-                now = time.monotonic()
-                if outage_since is None:
-                    outage_since = now
-                    stats["outages"] += 1
-                    log(f"store unavailable ({exc}); degrading gracefully "
-                        f"for up to {outage_grace:.0f}s")
-                if now - outage_since > outage_grace:
-                    log("store outage outlasted the grace window; giving up")
-                    raise
-                # The resilient backend already retried with backoff (and
-                # its breaker fast-fails while open), so a gentle fixed
-                # cadence here is enough — the breaker's half-open probe is
-                # what discovers recovery.
-                time.sleep(max(poll, min(1.0, outage_grace / 16.0)))
-                # An interrupted round is simply retried: claims we held are
-                # released best-effort above, results are idempotent, and a
-                # worker never deletes anything mid-outage.
+                continue
+            seen_plan = True
+            pending = dispatch.pending_units(store, plan)
+            if not pending:
+                # The pending scan is a cheap stat-level probe; before
+                # declaring the grid done, decode-check every entry so a
+                # torn result (healed to a miss here) is recomputed now
+                # rather than surprising the coordinator's assembly.
+                if all(store.verify("cell", unit.key) for unit in plan):
+                    if units is None:
+                        dispatch.prune_manifests(store)
+                    break
+                continue
+            stats["rounds"] += 1
+            if previous_pending is not None and len(pending) < previous_pending:
+                last_progress = time.monotonic()  # peers are landing cells
+            previous_pending = len(pending)
+            progressed = False
+            # One batched listing guards against cells that landed since the
+            # pending scan; anything landing *after* this snapshot is still
+            # safe — the executor consults the store before computing, so a
+            # claimed-but-landed cell is a pure hit.
+            still_missing = set(
+                store.filter_missing("cell", [u.key for u in pending])
+            )
+            for unit in order(pending):
+                if unit.key not in still_missing:
+                    continue  # landed while we worked through the list
+                note_attempt(unit.key)
+                if not store.try_claim("cell", unit.key, owner):
+                    stats["claim_conflicts"] += 1
+                    continue
+                log(f"claimed {unit.spec.code}/{unit.spec.method}/"
+                    f"{unit.spec.classifier}")
+                beat = ClaimHeartbeat(store, "cell", unit.key, owner, interval)
+                try:
+                    with beat:
+                        executor = ExperimentExecutor(
+                            unit.cfg, n_jobs=jobs, store=store
+                        )
+                        executor.run([unit.spec])
+                finally:
+                    stats["heartbeat_retries"] += beat.refresh_errors
+                    if beat.lost:
+                        stats["lost_leases"] += 1
+                    store.release_claim("cell", unit.key, owner)
+                stats["computed"] += 1
+                progressed = True
+                last_progress = time.monotonic()
+                # Cells land continuously while we computed; refresh the
+                # snapshot (one listing) so peer-landed cells are skipped
+                # rather than claimed-and-hit.
+                still_missing = set(
+                    store.filter_missing("cell", [u.key for u in pending])
+                )
+            if progressed:
+                continue
+            # Everything pending is claimed by peers: wait for results to
+            # land, reaping any leases (and orphan .tmp spools) whose owners
+            # died so the grid cannot stall behind a crashed peer.
+            store.reap_stale()
+            if store.any_live_claim("cell", [u.key for u in pending]):
+                # A heartbeated lease is proof a peer is computing (a
+                # FULL-profile cell can legitimately outlast max_idle); only
+                # a queue with no live leases counts as stalled.
+                last_progress = time.monotonic()
+            if time.monotonic() - last_progress > max_idle:
+                stats["idle_timeout"] = True
+                break
+            time.sleep(poll)
     finally:
         stats["reaped_claims"] = store.stats["reaped_claims"]
-        backend_stats = getattr(store.backend, "stats", None)
-        if callable(backend_stats):
-            stats["store_resilience"] = backend_stats()
         runner.configure_store(store=previous_store)
     return stats
 
@@ -357,9 +301,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--store", "--store-url", dest="store",
                         required=True, metavar="DIR_OR_URL",
-                        help="shared CellStore holding the work manifests: "
-                             "a directory, or a file:// / fakes3:// / "
-                             "s3:// store URL")
+                        help="shared CellStore directory holding the work "
+                             "manifests (a path or a file:// URL)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="local worker processes per cell "
                              "(0 = all cores; results identical to serial)")
@@ -374,11 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-idle", type=float, default=300.0,
                         help="give up after this many seconds without "
                              "fleet-wide progress")
-    parser.add_argument("--outage-grace", type=float,
-                        default=DEFAULT_OUTAGE_GRACE,
-                        help="keep polling through a store outage for this "
-                             "many seconds before giving up (exit code 4)")
     parser.add_argument("--claim-order", default="sorted",
+                        type=_claim_order_arg,
                         help="claim attempt order: sorted | reversed | "
                              "rotate:N | lru (deterministic interleaving "
                              "seam; lru is the work-stealing order)")
@@ -395,28 +335,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[worker {os.getpid()}] {message}", flush=True)
 
     # Exit code contract (the supervisor in run_all keys restart decisions
-    # off these): 0 done, 2 permanent store error (do not restart — it
-    # will fail identically), 3 idle timeout, 4 outage grace exhausted.
-    try:
-        stats = worker_loop(
-            args.store,
-            jobs=args.jobs,
-            owner=args.owner,
-            lease_ttl=args.ttl,
-            poll=args.poll,
-            claim_order=claim_order_from(args.claim_order),
-            max_idle=args.max_idle,
-            outage_grace=args.outage_grace,
-            plan_written=args.plan_written,
-            log=log,
-            codec=args.store_codec,
-        )
-    except StorePermanentError as exc:
-        log(f"fatal: {exc}")
-        return 2
-    except StoreUnavailableError as exc:
-        log(f"store unavailable past --outage-grace: {exc}")
-        return 4
+    # off these): 0 done, 2 usage error from argparse (never restarted —
+    # it would fail identically), 3 idle timeout.
+    stats = worker_loop(
+        args.store,
+        jobs=args.jobs,
+        owner=args.owner,
+        lease_ttl=args.ttl,
+        poll=args.poll,
+        claim_order=args.claim_order,
+        max_idle=args.max_idle,
+        plan_written=args.plan_written,
+        log=log,
+        codec=args.store_codec,
+    )
     print(json.dumps(stats))
     return 3 if stats["idle_timeout"] else 0
 

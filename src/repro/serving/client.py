@@ -20,8 +20,8 @@ conditions (503, 504, ``Connection: close``, a reset socket), and
   lock-step, and a server-sent ``Retry-After`` is honoured (capped by
   ``max_backoff``; a missing or unparseable value means no floor).  The
   delay schedule is the shared :class:`~repro.backoff.BackoffPolicy` —
-  the same policy the store resilience layer retries with, so the two
-  retry paths cannot drift;
+  the same policy the fleet supervisor spaces worker restarts with, so
+  the two retry paths cannot drift;
 * anything non-retryable (400, 404, …) raises :class:`PredictError`
   immediately.
 

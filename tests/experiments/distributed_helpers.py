@@ -9,25 +9,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: Backend kinds the distributed suites parameterise over.  Both must
-#: resolve across *processes* (worker subprocesses share the store), so
-#: the object-store side runs on the directory-backed fake bucket.
-STORE_BACKENDS = ("file", "objectstore")
-
-
-def store_target(backend: str, tmp_path) -> str:
-    """Store target (path or URL) for one backend kind under ``tmp_path``.
-
-    ``file`` keeps the historical directory form; ``objectstore`` is a
-    ``fakes3://`` bucket — same claim/lease protocol, conditional-put
-    semantics, no cloud credentials.
-    """
-    if backend == "file":
-        return str(tmp_path)
-    if backend == "objectstore":
-        return f"fakes3://{tmp_path / 'bucket'}"
-    raise ValueError(f"unknown store backend {backend!r}")
-
 
 def worker_env() -> dict:
     """Subprocess environment with ``src`` importable."""

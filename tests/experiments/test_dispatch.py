@@ -1,11 +1,14 @@
-"""Tests for grid serialisation into distributed work manifests."""
+"""Tests for grid serialisation into distributed work manifests, the
+fleet supervisor and the backoff policy it restarts workers with."""
 
 import json
+import random
 import sys
 import time
 
 import pytest
 
+from repro.backoff import BackoffPolicy
 from repro.experiments import dispatch
 from repro.experiments.config import ExperimentConfig, QUICK
 from repro.experiments.executor import CellSpec, cell_key_for
@@ -34,7 +37,7 @@ class TestConfigRoundTrip:
         """store_url is deployment config: excluding it from to_dict keeps
         the manifest profile payload identical to what pre-backend
         releases parse (their from_dict rejects unknown fields)."""
-        cfg = TINY.scaled(store_url="fakes3:///somewhere")
+        cfg = TINY.scaled(store_url="file:///somewhere")
         payload = cfg.to_dict()
         assert "store_url" not in payload
         # The round trip loses only the deployment field.
@@ -163,45 +166,6 @@ class TestManifests:
         assert dispatch.prune_manifests(store) == 0
 
 
-class TestManifestsOverObjectStore:
-    """Manifests ride the StoreBackend seam: the same plan/load/prune
-    cycle must work where no filesystem path exists."""
-
-    def target(self, tmp_path) -> str:
-        return f"fakes3://{tmp_path}/bucket"
-
-    def test_round_trip_returns_entry_name(self, tmp_path):
-        units = dispatch.plan_grid(TINY, ["table2"])
-        name = dispatch.write_manifest(self.target(tmp_path), TINY, units)
-        assert isinstance(name, str) and name.endswith(".plan")
-        loaded = dispatch.load_manifests(self.target(tmp_path))
-        assert [u.key for u in loaded] == [u.key for u in units]
-        assert all(u.cfg == TINY for u in loaded)
-
-    def test_corrupt_manifest_self_heals(self, tmp_path):
-        from repro.experiments.backends import resolve_backend
-
-        units = dispatch.plan_grid(TINY, ["table2"])
-        target = self.target(tmp_path)
-        name = dispatch.write_manifest(target, TINY, units)
-        backend = resolve_backend(target)
-        backend.put_atomic(name, b"{torn")
-        assert dispatch.load_manifests(target) == []
-        assert not backend.exists(name)  # deleted for the coordinator
-
-    def test_prune_over_object_store(self, tmp_path):
-        from tests.experiments.test_store import make_result
-
-        units = dispatch.plan_grid(TINY, ["table2"])
-        target = self.target(tmp_path)
-        dispatch.write_manifest(target, TINY, units)
-        store = CellStore(target)
-        for unit in units:
-            store.put("cell", unit.key, make_result())
-        assert dispatch.prune_manifests(store) == 1
-        assert dispatch.load_manifests(target) == []
-
-
 class TestWait:
     def test_pending_shrinks_as_results_land(self, tmp_path):
         units = dispatch.plan_grid(TINY, ["table2"])
@@ -324,3 +288,124 @@ class TestElasticFleet:
             assert sup.scale_ups == 0
         finally:
             sup.terminate()
+
+
+class TestBackoffPolicy:
+    def test_deterministic_with_injected_rng(self):
+        a = BackoffPolicy(rng=random.Random(42))
+        b = BackoffPolicy(rng=random.Random(42))
+        assert [a.delay(i) for i in range(6)] == [b.delay(i) for i in range(6)]
+
+    def test_doubles_then_caps(self):
+        policy = BackoffPolicy(base=0.1, factor=2.0, cap=0.5,
+                               jitter=(1.0, 1.0))
+        assert [policy.delay(i) for i in range(5)] == [
+            0.1, 0.2, 0.4, 0.5, 0.5
+        ]
+
+    def test_floor_raises_delay_but_never_past_cap(self):
+        policy = BackoffPolicy(base=0.05, cap=1.0, jitter=(1.0, 1.0))
+        assert policy.delay(0, floor=0.7) == 0.7   # Retry-After honoured
+        assert policy.delay(0, floor=30.0) == 1.0  # but capped
+        assert policy.delay(5, floor=0.1) == 1.0   # growth past the floor
+
+    def test_jitter_stays_in_bounds(self):
+        policy = BackoffPolicy(base=0.2, cap=0.2, jitter=(0.5, 1.5),
+                               rng=random.Random(0))
+        for attempt in range(50):
+            assert 0.1 <= policy.delay(attempt) < 0.3
+
+
+def crash_once_command(flag_path, crash_code=17):
+    """argv for a process that crashes on first run, succeeds after."""
+    script = (
+        "import os, sys\n"
+        f"flag = {str(flag_path)!r}\n"
+        "if not os.path.exists(flag):\n"
+        "    open(flag, 'w').close()\n"
+        f"    sys.exit({crash_code})\n"
+        "sys.exit(0)\n"
+    )
+    return [sys.executable, "-c", script]
+
+
+def drive_to_completion(supervisor, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    supervisor.poll()
+    while not supervisor.fleet_dead():
+        assert time.monotonic() < deadline, "fleet never settled"
+        time.sleep(0.02)
+        supervisor.poll()
+
+
+FAST_RESTARTS = BackoffPolicy(base=0.05, cap=0.1, jitter=(1.0, 1.0))
+
+
+class TestFleetSupervisor:
+    def test_crashed_worker_is_restarted_with_original_command(self, tmp_path):
+        supervisor = dispatch.FleetSupervisor(
+            [crash_once_command(tmp_path / "flag")],
+            max_restarts=2, backoff=FAST_RESTARTS,
+        )
+        supervisor.start()
+        drive_to_completion(supervisor)
+        (entry,) = supervisor.summary()
+        assert entry["restarts"] == 1
+        assert entry["exit_codes"] == [17, 0]
+        assert not entry["gave_up"]
+
+    def test_max_restarts_caps_a_crash_loop(self):
+        always_crash = [sys.executable, "-c", "import sys; sys.exit(9)"]
+        supervisor = dispatch.FleetSupervisor(
+            [always_crash], max_restarts=2, backoff=FAST_RESTARTS,
+        )
+        supervisor.start()
+        drive_to_completion(supervisor)
+        (entry,) = supervisor.summary()
+        assert entry["restarts"] == 2
+        assert entry["exit_codes"] == [9, 9, 9]
+        assert entry["gave_up"]
+
+    def test_usage_error_exit_is_never_restarted(self):
+        usage_error = [sys.executable, "-c", "import sys; sys.exit(2)"]
+        supervisor = dispatch.FleetSupervisor(
+            [usage_error], max_restarts=5, backoff=FAST_RESTARTS,
+        )
+        supervisor.start()
+        drive_to_completion(supervisor)
+        (entry,) = supervisor.summary()
+        assert entry["restarts"] == 0
+        assert entry["exit_codes"] == [2]
+        assert entry["gave_up"]
+
+    def test_benign_exits_are_not_restarted(self):
+        done = [sys.executable, "-c", "import sys; sys.exit(0)"]
+        idle = [sys.executable, "-c", "import sys; sys.exit(3)"]
+        supervisor = dispatch.FleetSupervisor(
+            [done, idle], max_restarts=5, backoff=FAST_RESTARTS,
+        )
+        supervisor.start()
+        drive_to_completion(supervisor)
+        first, second = supervisor.summary()
+        assert first["exit_codes"] == [0] and first["restarts"] == 0
+        assert second["exit_codes"] == [3] and second["restarts"] == 0
+        assert not first["gave_up"] and not second["gave_up"]
+
+    def test_terminate_cancels_pending_restarts(self):
+        crash = [sys.executable, "-c", "import sys; sys.exit(9)"]
+        supervisor = dispatch.FleetSupervisor(
+            [crash], max_restarts=5,
+            backoff=BackoffPolicy(base=30.0, cap=30.0, jitter=(1.0, 1.0)),
+        )
+        supervisor.start()
+        deadline = time.monotonic() + 10.0
+        while supervisor.total_restarts() == 0:
+            supervisor.poll()
+            (entry,) = supervisor.summary()
+            if entry["exit_codes"]:
+                break  # crash observed, restart scheduled 30s out
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        supervisor.terminate()
+        assert supervisor.fleet_dead()
+        assert supervisor.total_restarts() == 0

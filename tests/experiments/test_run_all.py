@@ -65,17 +65,6 @@ class TestDistributedCoordinator:
 
         assert not get_store().persist
 
-    def test_distributed_mem_store_fails_fast(self, tmp_path, capsys,
-                                              restore_store):
-        """mem:// buckets are per-process: both --workers and
-        --workers-external modes must error immediately instead of
-        waiting forever on workers that can never see the store."""
-        for mode in (["--workers", "1"], ["--workers-external"]):
-            code = main(["table2", "--distributed", *mode,
-                         "--store", "mem://isolated"])
-            assert code == 1
-            assert "per-process" in capsys.readouterr().out
-
     def test_profile_store_url_selects_the_store(self, tmp_path,
                                                  restore_store, monkeypatch):
         """A profile's store_url field re-points the process store when no
@@ -84,7 +73,7 @@ class TestDistributedCoordinator:
         from repro.experiments.config import QUICK
         from repro.experiments.runner import get_store
 
-        url = f"fakes3://{tmp_path}/bucket"
+        url = f"file://{tmp_path}/store"
         monkeypatch.delenv("REPRO_CELLSTORE_DIR", raising=False)
         monkeypatch.setitem(
             run_all._PROFILES, "quick", QUICK.scaled(store_url=url)
@@ -104,12 +93,12 @@ class TestDistributedCoordinator:
         monkeypatch.delenv("REPRO_CELLSTORE_DIR", raising=False)
         monkeypatch.setitem(
             run_all._PROFILES, "quick",
-            QUICK.scaled(store_url=f"fakes3://{tmp_path}/bucket"),
+            QUICK.scaled(store_url=f"file://{tmp_path}/store"),
         )
         configure_store(root=None)  # what the off switch yields at startup
         assert main(["table1"]) == 0
         assert not get_store().persist
-        assert not (tmp_path / "bucket").exists()
+        assert not (tmp_path / "store").exists()
 
     def test_external_wait_times_out_cleanly(self, tmp_path, capsys,
                                              restore_store):

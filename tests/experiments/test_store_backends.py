@@ -1,42 +1,35 @@
-"""Conformance suite for the ``StoreBackend`` contract.
+"""Conformance suite for the store backend contract.
 
-One shared test mixin runs against every backend — ``LocalFSBackend``
-and ``ObjectStoreBackend`` over both fake-bucket drivers — so the
-invariants the distributed claim/lease protocol depends on (atomic
+The invariants the distributed claim/lease protocol depends on (atomic
 visibility, exactly-one-winner exclusive creation, monotonic heartbeat
 timestamps, idempotent deletes, spool-free listings) are pinned at the
-*backend* level, not just observed incidentally through worker runs.
+*backend* level by the :class:`BackendContract` mixin, not just observed
+incidentally through worker runs.  ``LocalFSBackend`` is the one backend;
+any other backend has to pass the same mixin to join it.
 
-On top of the raw contract, the ``CellStore``-level classes prove the
-protocol composes identically over both backend families: conditional-put
-conflicts surface as lost claims, stale leases reap via an injected
-clock (no sleeps), and corrupt entries self-heal by deletion.
+On top of the raw contract, the ``CellStore``-level classes pin the
+protocol with an injected clock (stale leases reap without sleeping,
+corrupt entries self-heal by deletion) and the polling cost budgets of
+the landed-set cache.
 """
 
 import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.experiments.backends import (
-    Boto3ObjectStore,
-    DirectoryBucket,
-    FakeObjectStore,
-    LocalFSBackend,
-    MemoryBucket,
-    ObjectStoreBackend,
-    memory_bucket,
-    resolve_backend,
-)
+from repro.experiments.backends import LocalFSBackend, resolve_backend
 from repro.experiments.store import CellStore
 
 from tests.experiments.test_store import make_result
 
 
 class FakeClock:
-    """Manually advanced time source shared by store and backend."""
+    """Manually advanced time source for a store's lease ageing."""
 
-    def __init__(self, start: float = 1_000_000.0):
+    def __init__(self, start: float):
         self.now = start
 
     def __call__(self) -> float:
@@ -47,23 +40,19 @@ class FakeClock:
 
 
 # ----------------------------------------------------------------------
-# The backend contract, run verbatim against every implementation
+# The backend contract
 # ----------------------------------------------------------------------
 
 
 class BackendContract:
-    """Invariants every ``StoreBackend`` must uphold (see backends.py)."""
+    """Invariants every store backend must uphold (see backends.py)."""
 
-    def make_backend(self, tmp_path, clock):
+    def make_backend(self, tmp_path):
         raise NotImplementedError
 
     @pytest.fixture
-    def clock(self):
-        return FakeClock()
-
-    @pytest.fixture
-    def backend(self, tmp_path, clock):
-        return self.make_backend(tmp_path, clock)
+    def backend(self, tmp_path):
+        return self.make_backend(tmp_path)
 
     def test_get_missing_returns_none(self, backend):
         assert backend.get("absent.json") is None
@@ -104,37 +93,6 @@ class BackendContract:
         names = backend.list()
         assert names == ["a.json"]
 
-    def test_list_page_walk_covers_namespace_exactly_once(self, backend):
-        """Invariant 6: a full token walk is the listing — every name
-        exactly once, no page over the limit."""
-        for i in range(7):
-            backend.put_atomic(f"cell-{i}.npz", b"x")
-        backend.put_atomic("plan-1.plan", b"x")
-        walked, token, pages = [], None, 0
-        while True:
-            page, token = backend.list_page(token=token, limit=3)
-            assert len(page) <= 3
-            walked.extend(page)
-            pages += 1
-            if token is None:
-                break
-            assert pages < 100  # a looping token must not hang the suite
-        assert walked == backend.list()
-        assert len(walked) == len(set(walked))
-
-    def test_list_page_prefix_filters(self, backend):
-        for name in ("plan-1.plan", "plan-2.plan", "cell-1.npz"):
-            backend.put_atomic(name, b"x")
-        page, token = backend.list_page(prefix="plan-", limit=10)
-        assert page == ["plan-1.plan", "plan-2.plan"]
-        assert token is None
-
-    def test_list_page_small_namespace_is_one_page(self, backend):
-        backend.put_atomic("a.json", b"x")
-        page, token = backend.list_page()
-        assert page == ["a.json"]
-        assert token is None
-
     def test_exclusive_create_single_winner(self, backend):
         assert backend.try_claim_exclusive("k.claim", b"alice")
         assert not backend.try_claim_exclusive("k.claim", b"bob")
@@ -165,17 +123,13 @@ class BackendContract:
         assert len(wins) == 1
         assert backend.get("race.claim") == f"t{wins[0]}".encode()
 
-    def test_stamp_mtime_advances_timestamp(self, backend, clock):
+    def test_stamp_mtime_advances_timestamp(self, backend):
         backend.try_claim_exclusive("k.claim", b"v1")
         first = backend.mtime("k.claim")
-        clock.advance(5.0)
-        self.wait_for_distinct_timestamp()
+        time.sleep(0.02)  # one filesystem-timestamp granule
         backend.stamp_mtime("k.claim", b"v2")
         assert backend.get("k.claim") == b"v2"
         assert backend.mtime("k.claim") > first
-
-    def wait_for_distinct_timestamp(self):
-        """Hook for backends whose clock is the real filesystem."""
 
     def test_url_round_trips_to_same_storage(self, backend):
         backend.put_atomic("a.json", b"payload")
@@ -184,15 +138,8 @@ class BackendContract:
 
 
 class TestLocalFSContract(BackendContract):
-    def make_backend(self, tmp_path, clock):
+    def make_backend(self, tmp_path):
         return LocalFSBackend(tmp_path / "store")
-
-    def wait_for_distinct_timestamp(self):
-        # File mtimes come from the kernel clock, not the fake: sleep one
-        # filesystem-timestamp granule so the advance is observable.
-        import time
-
-        time.sleep(0.02)
 
     def test_orphaned_spool_is_hidden_from_list_but_sweepable(self, backend):
         """Invariant 5 regression: a stranded mkstemp spool (writer
@@ -205,76 +152,6 @@ class TestLocalFSContract(BackendContract):
         assert backend.mtime("cell-1abcd123.tmp") is not None
         backend.delete("cell-1abcd123.tmp")
         assert backend.stray_spools() == []
-
-
-class TestMemoryBucketContract(BackendContract):
-    def make_backend(self, tmp_path, clock):
-        # Registry-named bucket so backend.url resolves back to the same
-        # storage (tmp_path.name is unique per test).
-        name = f"contract-{tmp_path.name}"
-        return ObjectStoreBackend(
-            FakeObjectStore(memory_bucket(name), clock=clock),
-            url=f"mem://{name}",
-        )
-
-
-class TestDirectoryBucketContract(BackendContract):
-    def make_backend(self, tmp_path, clock):
-        return ObjectStoreBackend(
-            FakeObjectStore(DirectoryBucket(tmp_path / "bucket"), clock=clock),
-            url=f"fakes3://{tmp_path / 'bucket'}",
-        )
-
-    def test_orphaned_spool_is_hidden_yet_reapable(self, backend, tmp_path):
-        """A writer SIGKILLed mid-save strands a .spool-* file; it must
-        stay invisible to listings but sweepable by reap_stale —
-        otherwise it accumulates in the bucket forever."""
-        backend.put_atomic("cell-1.npz", b"data")
-        orphan = tmp_path / "bucket" / ".spool-orphan"
-        orphan.write_bytes(b"partial")
-        assert backend.list() == ["cell-1.npz"]
-        assert backend.stray_spools() == [".spool-orphan"]
-        store = CellStore(backend, lease_ttl=10.0)
-        import os as _os
-        _os.utime(orphan, (1.0, 1.0))  # ancient: well past any TTL
-        assert store.reap_stale() == 1
-        assert not orphan.exists()
-
-
-class TestPrefixedObjectContract(BackendContract):
-    """A key prefix must be invisible to the StoreBackend surface."""
-
-    def make_backend(self, tmp_path, clock):
-        return ObjectStoreBackend(
-            FakeObjectStore(MemoryBucket(), clock=clock),
-            url="mem://contract-prefixed",
-            prefix="grids/run-1",
-        )
-
-    def test_names_are_namespaced_in_the_bucket(self, backend):
-        backend.put_atomic("a.json", b"x")
-        assert backend.client.list_objects() == ["grids/run-1/a.json"]
-        assert backend.list() == ["a.json"]
-
-    def test_foreign_keys_sharing_the_bucket_stay_invisible(self, backend):
-        """A key outside this store's prefix must never be mangled into
-        an entry name (regression: ``key[len(base):]`` blind slicing)."""
-        backend.put_atomic("a.json", b"x")
-        backend.client.put_object("grids/run-2/b.json", b"other run")
-        backend.client.put_object("unrelated.json", b"foreign tenant")
-        assert backend.list() == ["a.json"]
-        walked, token = [], None
-        while True:
-            page, token = backend.list_page(token=token, limit=2)
-            walked.extend(page)
-            if token is None:
-                break
-        assert walked == ["a.json"]
-
-    def test_url_round_trips_to_same_storage(self, backend):
-        # mem:// URLs cannot encode a key prefix; namespacing is covered
-        # by test_names_are_namespaced_in_the_bucket instead.
-        pytest.skip("prefixed mem:// backends are not URL-addressable")
 
 
 # ----------------------------------------------------------------------
@@ -296,70 +173,39 @@ class TestResolveBackend:
         backend = LocalFSBackend(tmp_path)
         assert resolve_backend(backend) is backend
 
-    def test_mem_urls_share_named_buckets(self):
-        a = resolve_backend("mem://shared-bucket")
-        b = resolve_backend("mem://shared-bucket")
-        other = resolve_backend("mem://different")
-        a.put_atomic("k.json", b"v")
-        assert b.get("k.json") == b"v"
-        assert other.get("k.json") is None
-        assert memory_bucket("shared-bucket") is a.client.bucket
-
-    def test_fakes3_url_is_directory_backed(self, tmp_path):
-        backend = resolve_backend(f"fakes3://{tmp_path}/bucket")
-        backend.put_atomic("k.json", b"v")
-        assert (tmp_path / "bucket" / "k.json").read_bytes() == b"v"
-
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="scheme"):
-            resolve_backend("gopher://cellstore")
-
-    def test_s3_url_without_bucket_rejected(self):
-        with pytest.raises(ValueError, match="bucket"):
-            resolve_backend("s3:///prefix-only")
+        for url in ("gopher://cellstore", "mem://x", "fakes3:///x", "s3://b/p"):
+            with pytest.raises(ValueError, match="scheme"):
+                resolve_backend(url)
 
     def test_cellstore_dir_env_accepts_urls(self, tmp_path, monkeypatch):
         from repro.experiments.store import default_store_root
 
-        monkeypatch.setenv("REPRO_CELLSTORE_DIR", f"fakes3://{tmp_path}/b")
+        monkeypatch.setenv("REPRO_CELLSTORE_DIR", f"file://{tmp_path}/b")
         target = default_store_root()
         store = CellStore(target)
-        assert store.url == f"fakes3://{tmp_path}/b"
+        assert store.url == f"file://{tmp_path}/b"
         store.put("ratio", "k", 0.25)
         assert CellStore(target).get("ratio", "k") == 0.25
 
 
 # ----------------------------------------------------------------------
-# CellStore over both backend families: same protocol, same outcomes
+# CellStore with an injected clock
 # ----------------------------------------------------------------------
 
 
-def store_over(kind: str, tmp_path, clock, **kwargs) -> CellStore:
-    """A CellStore over the requested backend with an injected clock."""
-    if kind == "file":
-        return CellStore(tmp_path / "store", clock=clock, **kwargs)
-    backend = ObjectStoreBackend(
-        FakeObjectStore(DirectoryBucket(tmp_path / "bucket"), clock=clock),
-        url=f"fakes3://{tmp_path / 'bucket'}",
-    )
-    return CellStore(backend, clock=clock, **kwargs)
-
-
-@pytest.fixture(params=["file", "objectstore"])
-def clocked_store(request, tmp_path):
-    import time
-
-    # Based at real time: the file backend's mtimes come from the kernel
-    # clock, so the injected clock must share its epoch (advancing it
-    # simulates the passage of time against freshly written entries).
+@pytest.fixture
+def clocked_store(tmp_path):
+    # Based at real time: file mtimes come from the kernel clock, so the
+    # injected clock must share its epoch (advancing it simulates the
+    # passage of time against freshly written entries).
     clock = FakeClock(start=time.time())
-    store = store_over(request.param, tmp_path, clock, lease_ttl=10.0)
+    store = CellStore(tmp_path / "store", clock=clock, lease_ttl=10.0)
     store.test_clock = clock
-    store.backend_kind = request.param
     return store
 
 
-class TestCellStoreOverBackends:
+class TestCellStoreWithInjectedClock:
     def test_cell_round_trip_bit_identical(self, clocked_store):
         original = make_result(7)
         clocked_store.put("cell", "k", original)
@@ -378,7 +224,7 @@ class TestCellStoreOverBackends:
         assert clocked_store.try_claim("cell", "k", "bob")
 
     def test_stale_lease_reaped_via_injected_clock(self, clocked_store):
-        """Lease expiry needs no sleeping: advance the shared clock past
+        """Lease expiry needs no sleeping: advance the store clock past
         the TTL and the next claimer reaps."""
         assert clocked_store.try_claim("cell", "k", "alice")
         clocked_store.test_clock.advance(9.0)
@@ -389,22 +235,9 @@ class TestCellStoreOverBackends:
         assert clocked_store.claim_info("cell", "k")["owner"] == "bob"
         assert clocked_store.stats["reaped_claims"] == 1
 
-    def test_heartbeat_defers_expiry(self, clocked_store):
-        if clocked_store.backend_kind == "file":
-            # File mtimes cannot be driven by the injected clock; the
-            # realtime equivalent is pinned by
-            # test_store.TestClaims.test_heartbeat_keeps_lease_alive.
-            pytest.skip("filesystem heartbeat timestamps are kernel-clocked")
-        assert clocked_store.try_claim("cell", "k", "alice")
-        for _ in range(3):
-            clocked_store.test_clock.advance(8.0)
-            assert clocked_store.refresh_claim("cell", "k", "alice")
-        # 24s elapsed > ttl, but each stamp re-based the lease.
-        assert not clocked_store.try_claim("cell", "k", "bob")
-
     def test_filter_missing_matches_per_key_has(self, clocked_store):
-        """The batched pending probe (one listing) must agree with the
-        per-key probe on every membership combination."""
+        """The batched pending probe must agree with the per-key probe on
+        every membership combination."""
         clocked_store.put("cell", "landed-disk", make_result())
         clocked_store.clear_memory()
         clocked_store.put("cell", "landed-memory", make_result(),
@@ -434,284 +267,95 @@ class TestCellStoreOverBackends:
         assert clocked_store.claim_info("cell", "k")["owner"] == "bob"
 
 
-class TestObjectStoreFaults:
-    """Fault injection only the fake object store can express."""
+class CountingBackend(LocalFSBackend):
+    """``LocalFSBackend`` counting its storage calls, so tests can assert
+    what a polling loop *costs*, not just its answers."""
 
-    def test_injected_conflict_loses_the_claim_race(self, tmp_path):
-        """A conditional put losing a race it could not observe (another
-        writer's entry not yet visible to this client) must read as an
-        ordinary claim conflict, not an error."""
-        conflicts = ["k-digest"]
-        fake = FakeObjectStore(
-            MemoryBucket(),
-            conflict_injector=lambda key: bool(conflicts) and conflicts.pop(0) in key,
-        )
-        backend = ObjectStoreBackend(fake, url="mem://faults")
-        assert not backend.try_claim_exclusive("cell-k-digest.claim", b"a")
-        # The spurious conflict is transient; the retry wins for real.
-        assert backend.try_claim_exclusive("cell-k-digest.claim", b"a")
+    def __init__(self, root):
+        super().__init__(root)
+        self.calls = Counter()
 
-    def test_conflict_surfaces_as_lost_claim_in_cellstore(self, tmp_path):
-        clock = FakeClock()
-        fake = FakeObjectStore(
-            MemoryBucket(), clock=clock, conflict_injector=lambda key: True
-        )
-        store = CellStore(
-            ObjectStoreBackend(fake, url="mem://faults2"), clock=clock
-        )
-        assert not store.try_claim("cell", "k", "alice")
-        assert store.claim_info("cell", "k") is None  # nothing was written
+    def get(self, name):
+        self.calls["get"] += 1
+        return super().get(name)
 
-    def test_head_object_never_transfers_the_payload(self, tmp_path):
-        """Regression: exists()/mtime() probes run every poll round and
-        must stay metadata-only on both bucket drivers."""
+    def exists(self, name):
+        self.calls["exists"] += 1
+        return super().exists(name)
 
-        class PayloadTrap(DirectoryBucket):
-            def load(self, name):
-                raise AssertionError("head path read a payload")
+    def list(self, prefix=""):
+        self.calls["list"] += 1
+        return super().list(prefix)
 
-        bucket = PayloadTrap(tmp_path / "bucket")
-        DirectoryBucket.save(bucket, "cell-1.npz", b"x" * 4096, 123.0)
-        backend = ObjectStoreBackend(
-            FakeObjectStore(bucket), url=f"fakes3://{tmp_path}/bucket"
-        )
-        assert backend.exists("cell-1.npz")
-        assert backend.mtime("cell-1.npz") == pytest.approx(123.0)
-        mem = MemoryBucket()
-        mem.save("k", b"y" * 4096, 7.0)
-        assert mem.stat("k") == (4096, 7.0)
-        assert mem.stat("absent") is None
-
-    def test_latency_is_per_operation(self):
-        import time as _time
-
-        fake = FakeObjectStore(MemoryBucket(), latency=0.01)
-        backend = ObjectStoreBackend(fake, url="mem://slow")
-        start = _time.perf_counter()
-        backend.put_atomic("a.json", b"x")
-        backend.get("a.json")
-        assert _time.perf_counter() - start >= 0.02
-
-    def test_high_latency_store_still_converges(self, tmp_path):
-        """The claim protocol only assumes atomicity, never timing."""
-        clock = FakeClock()
-        fake = FakeObjectStore(MemoryBucket(), clock=clock, latency=0.002)
-        store = CellStore(
-            ObjectStoreBackend(fake, url="mem://slow2"), clock=clock,
-            lease_ttl=10.0,
-        )
-        assert store.try_claim("cell", "k", "alice")
-        store.put("ratio", "k", 0.5)
-        store.release_claim("cell", "k", "alice")
-        store.clear_memory()
-        assert store.get("ratio", "k") == 0.5
-        assert store.claim_names() == []
-
-
-class TestBoto3Adapter:
-    """The s3:// adapter against a scripted stand-in client (no network)."""
-
-    class _Scripted:
-        """Minimal boto3-shaped S3 client backed by a dict."""
-
-        def __init__(self):
-            self.objects: dict[str, bytes] = {}
-
-        def _error(self, code):
-            class ClientError(Exception):
-                response = {"Error": {"Code": code}}
-
-            return ClientError(code)
-
-        def put_object(self, Bucket, Key, Body, IfNoneMatch=None):
-            if IfNoneMatch == "*" and Key in self.objects:
-                raise self._error("PreconditionFailed")
-            self.objects[Key] = bytes(Body)
-
-        def get_object(self, Bucket, Key):
-            if Key not in self.objects:
-                raise self._error("NoSuchKey")
-            import io
-
-            return {"Body": io.BytesIO(self.objects[Key])}
-
-        def head_object(self, Bucket, Key):
-            if Key not in self.objects:
-                raise self._error("404")
-            import datetime
-
-            return {
-                "LastModified": datetime.datetime.fromtimestamp(
-                    123.0, tz=datetime.timezone.utc
-                ),
-                "ContentLength": len(self.objects[Key]),
-            }
-
-        def delete_object(self, Bucket, Key):
-            self.objects.pop(Key, None)
-
-        def list_objects_v2(self, Bucket, Prefix="", ContinuationToken=None,
-                            MaxKeys=1000):
-            keys = sorted(k for k in self.objects if k.startswith(Prefix))
-            if ContinuationToken is not None:
-                keys = [k for k in keys if k > ContinuationToken]
-            page = keys[:MaxKeys]
-            truncated = len(keys) > len(page)
-            reply = {"Contents": [{"Key": k} for k in page],
-                     "IsTruncated": truncated}
-            if truncated:
-                reply["NextContinuationToken"] = page[-1]
-            return reply
-
-    def make_backend(self):
-        client = Boto3ObjectStore("bucket", client=self._Scripted())
-        return ObjectStoreBackend(client, url="s3://bucket/pre", prefix="pre")
-
-    def test_list_page_walks_truncated_pages(self):
-        """MaxKeys flows through list_objects_v2 and the continuation
-        token round-trips opaquely."""
-        backend = self.make_backend()
-        for i in range(5):
-            backend.put_atomic(f"k{i}.json", b"x")
-        walked, token = [], None
-        while True:
-            page, token = backend.list_page(token=token, limit=2)
-            assert len(page) <= 2
-            walked.extend(page)
-            if token is None:
-                break
-        assert walked == [f"k{i}.json" for i in range(5)]
-
-    def test_round_trip_and_conditional_put(self):
-        backend = self.make_backend()
-        assert backend.get("a.json") is None
-        backend.put_atomic("a.json", b"v")
-        assert backend.get("a.json") == b"v"
-        assert backend.mtime("a.json") == 123.0
-        assert backend.try_claim_exclusive("k.claim", b"alice")
-        assert not backend.try_claim_exclusive("k.claim", b"bob")
-        assert backend.list() == ["a.json", "k.claim"]
-        backend.delete("k.claim")
-        assert backend.list() == ["a.json"]
-
-
-class TestFakeStorePagination:
-    """The fake client's truncated-page modelling and round-trip counters."""
-
-    def test_page_size_truncates_below_max_keys(self):
-        client = FakeObjectStore(MemoryBucket(), page_size=2)
-        for i in range(5):
-            client.put_object(f"k{i}", b"x")
-        page, token = client.list_objects_page(max_keys=100)
-        assert page == ["k0", "k1"]
-        assert token == "k1"
-
-    def test_token_walk_is_complete(self):
-        client = FakeObjectStore(MemoryBucket(), page_size=2)
-        for i in range(5):
-            client.put_object(f"k{i}", b"x")
-        walked, token = [], None
-        while True:
-            page, token = client.list_objects_page(token=token)
-            walked.extend(page)
-            if token is None:
-                break
-        assert walked == [f"k{i}" for i in range(5)]
-
-    def test_backend_walk_rides_provider_truncation(self):
-        """A backend page *request* larger than the provider's cap still
-        walks the namespace completely (real S3 may truncate harder than
-        MaxKeys asked)."""
-        client = FakeObjectStore(MemoryBucket(), page_size=2)
-        backend = ObjectStoreBackend(client, url="mem://trunc-test")
-        for i in range(5):
-            backend.put_atomic(f"k{i}.json", b"x")
-        walked, token = [], None
-        while True:
-            page, token = backend.list_page(token=token, limit=100)
-            walked.extend(page)
-            if token is None:
-                break
-        assert walked == backend.list()
-
-    def test_op_counts_observe_round_trips(self):
-        client = FakeObjectStore(MemoryBucket())
-        client.put_object("a", b"x")
-        client.get_object("a")
-        client.list_objects_page()
-        client.list_objects_page()
-        assert client.op_counts["put_object"] == 1
-        assert client.op_counts["get_object"] == 1
-        assert client.op_counts["list_objects_page"] == 2
+    def mtime(self, name):
+        self.calls["mtime"] += 1
+        return super().mtime(name)
 
 
 class TestBoundedPolling:
-    """Steady-state polling round trips must not scale with store size.
+    """Steady-state polling calls must not scale with store size.
 
     The regression behind the delta cache: every ``filter_missing`` poll
     used to list the whole ``{kind}-`` prefix, so polling cost grew with
     every landed cell.  With the cache, landed keys are free and the few
-    pending ones pay one metadata probe each.
+    pending ones pay one ``exists`` probe each.
     """
 
-    def make_store(self):
-        client = FakeObjectStore(MemoryBucket())
-        backend = ObjectStoreBackend(client, url="mem://bounded-poll")
-        return client, CellStore(backend)
+    def make_store(self, tmp_path):
+        backend = CountingBackend(tmp_path / "store")
+        return backend, CellStore(backend)
 
-    def test_pending_scan_cost_is_per_pending_not_per_landed(self):
-        client, store = self.make_store()
+    def test_pending_scan_cost_is_per_pending_not_per_landed(self, tmp_path):
+        backend, store = self.make_store(tmp_path)
         for i in range(40):
             store.put("ratio", f"k{i}", float(i))
         pending = [f"p{i}" for i in range(3)]
 
         # A fresh process (empty memory layer, empty cache) queries the
-        # whole grid: one paged sweep reseeds the landed cache.
-        fresh = CellStore(store.backend)
+        # whole grid: one listing reseeds the landed cache.
+        fresh = CellStore(backend)
         keys = [f"k{i}" for i in range(40)] + pending
         assert fresh.filter_missing("ratio", keys) == pending
 
-        client.op_counts.clear()
+        backend.calls.clear()
         for _ in range(5):
             assert fresh.filter_missing("ratio", keys) == pending
         # Landed cells answer from the cache; only the 3 pending keys pay
         # a probe per poll — and nothing lists the store again.
-        assert client.op_counts["list_objects"] == 0
-        assert client.op_counts["list_objects_page"] == 0
-        assert client.op_counts["head_object"] == 5 * len(pending)
+        assert backend.calls == Counter(exists=5 * len(pending))
 
-    def test_landing_more_cells_does_not_raise_poll_cost(self):
-        client, store = self.make_store()
+    def test_landing_more_cells_does_not_raise_poll_cost(self, tmp_path):
+        backend, store = self.make_store(tmp_path)
         pending = [f"p{i}" for i in range(3)]
-        poller = CellStore(store.backend)
+        poller = CellStore(backend)
 
         def poll_cost(landed: int) -> int:
             for i in range(landed):
                 store.put("ratio", f"k{i}", float(i))
             keys = [f"k{i}" for i in range(landed)] + pending
             poller.filter_missing("ratio", keys)  # warm the cache
-            client.op_counts.clear()
+            backend.calls.clear()
             poller.filter_missing("ratio", keys)
-            return sum(client.op_counts.values())
+            return sum(backend.calls.values())
 
         assert poll_cost(10) == poll_cost(80)
 
-    def test_put_feeds_the_cache(self):
-        """A worker's own writes are known landed without any round trip."""
-        client, store = self.make_store()
+    def test_put_feeds_the_cache(self, tmp_path):
+        """A worker's own writes are known landed without any call."""
+        backend, store = self.make_store(tmp_path)
         store.put("ratio", "mine", 1.0)
         store.clear_memory()
-        client.op_counts.clear()
+        backend.calls.clear()
         assert store.filter_missing("ratio", ["mine"]) == []
-        assert sum(client.op_counts.values()) == 0
+        assert sum(backend.calls.values()) == 0
 
-    def test_healed_entry_leaves_the_cache(self):
+    def test_healed_entry_leaves_the_cache(self, tmp_path):
         """Heal-on-decode must evict, or the poller would report the cell
         landed forever while verify keeps failing (a pending livelock)."""
-        client, store = self.make_store()
+        backend, store = self.make_store(tmp_path)
         store.put("ratio", "k", 0.5)
         store.clear_memory()
         name = store._entry_name("ratio", "k")
-        client.put_object(name, b"\xabRS1\x00\x04zlibgarbage")
+        backend.put_atomic(name, b"\xabRS1\x00\x04zlibgarbage")
         assert store.get("ratio", "k") is None  # healed by deletion
         assert store.filter_missing("ratio", ["k"]) == ["k"]

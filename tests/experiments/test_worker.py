@@ -35,8 +35,20 @@ class TestClaimOrder:
         assert worker.claim_order_from("rotate:0")([]) == []
 
     def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError, match="claim order"):
-            worker.claim_order_from("random")
+        for spec in ("random", "bogus", "rotate:x", "rotate:"):
+            with pytest.raises(ValueError, match="claim order") as info:
+                worker.claim_order_from(spec)
+            for form in ("sorted", "reversed", "rotate:N", "lru"):
+                assert form in str(info.value)
+
+    def test_cli_bad_order_is_a_usage_error(self, tmp_path, capsys):
+        """Exit 2, which the fleet supervisor never restarts, not a
+        traceback (exit 1, restarted with backoff up to max_restarts)."""
+        for spec in ("bogus", "rotate:x"):
+            with pytest.raises(SystemExit) as info:
+                worker.main(["--store", str(tmp_path), "--claim-order", spec])
+            assert info.value.code == 2
+            assert "lru" in capsys.readouterr().err
 
     def test_lru_starts_sorted_then_backs_off_attempted(self):
         class U:
@@ -205,17 +217,17 @@ class TestWorkerLoop:
     def test_cli_store_url_is_an_alias_accepting_urls(self, tmp_path, capsys):
         """--store-url and --store are one flag; both take store URLs."""
         assert worker.main(
-            ["--store-url", f"fakes3://{tmp_path}/bucket",
+            ["--store-url", f"file://{tmp_path}/store",
              "--poll", "0.02", "--max-idle", "0.2"]
         ) == 3
         assert '"idle_timeout": true' in capsys.readouterr().out
 
-    def test_worker_loop_over_an_object_store_url(self, tmp_path):
+    def test_worker_loop_over_a_file_url(self, tmp_path):
         """The loop accepts URL targets end-to-end (not just directories)."""
         from repro.experiments import dispatch
         from tests.property.test_distributed_parity import TINY
 
-        target = f"fakes3://{tmp_path}/bucket"
+        target = f"file://{tmp_path}/store"
         units = dispatch.plan_grid(TINY, ["table2"])[:1]
         dispatch.write_manifest(target, TINY, units)
         stats = worker.worker_loop(target, jobs=1, max_idle=60.0)
