@@ -12,7 +12,8 @@ disk, most NFS setups) share one store and split one grid.
 ``file://`` URL — onto a backend instance;
 :class:`~repro.experiments.store.CellStore`, the worker CLI's
 ``--store``/``--store-url`` and the coordinator all accept either form.
-Any other URL scheme is rejected.
+Any other URL scheme is rejected; on a command line :func:`store_arg`
+turns that into a usage error.
 
 **The contract** (pinned by the conformance suite in
 ``tests/experiments/test_store_backends.py``):
@@ -34,11 +35,12 @@ Any other URL scheme is rejected.
 
 from __future__ import annotations
 
+import argparse
 import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["LocalFSBackend", "resolve_backend"]
+__all__ = ["LocalFSBackend", "resolve_backend", "store_arg"]
 
 
 class LocalFSBackend:
@@ -181,3 +183,14 @@ def resolve_backend(target) -> LocalFSBackend | None:
         f"unknown store URL scheme {scheme.lower()!r} in {text!r}; "
         "use a directory or a file:// URL"
     )
+
+
+def store_arg(target: str) -> str:
+    """argparse ``type=`` for ``--store``: an unusable target is a usage
+    error (exit 2, which the fleet supervisor never restarts), not a
+    traceback.  Returns ``target`` unchanged."""
+    try:
+        resolve_backend(target)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return target

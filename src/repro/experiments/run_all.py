@@ -50,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments import ablations, figures, tables
+from repro.experiments.backends import store_arg
 from repro.experiments.config import FULL, MEDIUM, QUICK
 
 _PROFILES = {"quick": QUICK, "medium": MEDIUM, "full": FULL}
@@ -259,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="restarts per crashed worker slot before the "
                              "supervisor gives up on it (default: 2)")
     parser.add_argument("--store", "--store-url", dest="store",
-                        metavar="DIR_OR_URL", default=None,
+                        metavar="DIR_OR_URL", default=None, type=store_arg,
                         help="cell store: a directory or a file:// URL "
                              "(default: benchmarks/output/cellstore, "
                              "$REPRO_CELLSTORE_DIR, or the profile's "

@@ -17,7 +17,8 @@ manifest cell has a result.  A worker started *before* its coordinator
 manifest to appear, then exits with status 3 if none ever did.  A
 spawner that wrote the manifest first passes ``--plan-written``: finding
 no manifest then means the grid already finished and was pruned, so the
-worker exits 0.  A bad command line exits 2 (argparse's usage error),
+worker exits 0.  A bad command line — an unknown ``--claim-order`` or
+``--store`` URL scheme among them — exits 2 (argparse's usage error),
 which the fleet supervisor never restarts: the same command would fail
 the same way again.
 
@@ -49,6 +50,7 @@ import re
 import sys
 import time
 
+from repro.experiments.backends import store_arg
 from repro.experiments.store import (
     DEFAULT_LEASE_TTL,
     CellStore,
@@ -300,7 +302,7 @@ def worker_loop(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--store", "--store-url", dest="store",
-                        required=True, metavar="DIR_OR_URL",
+                        required=True, metavar="DIR_OR_URL", type=store_arg,
                         help="shared CellStore directory holding the work "
                              "manifests (a path or a file:// URL)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",

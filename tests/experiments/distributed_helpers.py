@@ -9,6 +9,20 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+#: Store kinds the CellStore, parity and SIGKILL suites parameterise
+#: over.  The directory store is the one backend; one that passes the
+#: conformance suite joins here (and in :func:`store_target`) so every
+#: protocol suite runs over it too (docs/architecture/store-backends.md).
+STORE_BACKENDS = ("file",)
+
+
+def store_target(backend: str, tmp_path) -> str:
+    """Store target for one backend kind under ``tmp_path``: the string a
+    worker subprocess's ``--store`` resolves back to the same storage."""
+    if backend == "file":
+        return str(tmp_path)
+    raise ValueError(f"unknown store backend {backend!r}")
+
 
 def worker_env() -> dict:
     """Subprocess environment with ``src`` importable."""

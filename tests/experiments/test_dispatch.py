@@ -1,14 +1,11 @@
-"""Tests for grid serialisation into distributed work manifests, the
-fleet supervisor and the backoff policy it restarts workers with."""
+"""Tests for grid serialisation into distributed work manifests."""
 
 import json
-import random
 import sys
 import time
 
 import pytest
 
-from repro.backoff import BackoffPolicy
 from repro.experiments import dispatch
 from repro.experiments.config import ExperimentConfig, QUICK
 from repro.experiments.executor import CellSpec, cell_key_for
@@ -289,123 +286,3 @@ class TestElasticFleet:
         finally:
             sup.terminate()
 
-
-class TestBackoffPolicy:
-    def test_deterministic_with_injected_rng(self):
-        a = BackoffPolicy(rng=random.Random(42))
-        b = BackoffPolicy(rng=random.Random(42))
-        assert [a.delay(i) for i in range(6)] == [b.delay(i) for i in range(6)]
-
-    def test_doubles_then_caps(self):
-        policy = BackoffPolicy(base=0.1, factor=2.0, cap=0.5,
-                               jitter=(1.0, 1.0))
-        assert [policy.delay(i) for i in range(5)] == [
-            0.1, 0.2, 0.4, 0.5, 0.5
-        ]
-
-    def test_floor_raises_delay_but_never_past_cap(self):
-        policy = BackoffPolicy(base=0.05, cap=1.0, jitter=(1.0, 1.0))
-        assert policy.delay(0, floor=0.7) == 0.7   # Retry-After honoured
-        assert policy.delay(0, floor=30.0) == 1.0  # but capped
-        assert policy.delay(5, floor=0.1) == 1.0   # growth past the floor
-
-    def test_jitter_stays_in_bounds(self):
-        policy = BackoffPolicy(base=0.2, cap=0.2, jitter=(0.5, 1.5),
-                               rng=random.Random(0))
-        for attempt in range(50):
-            assert 0.1 <= policy.delay(attempt) < 0.3
-
-
-def crash_once_command(flag_path, crash_code=17):
-    """argv for a process that crashes on first run, succeeds after."""
-    script = (
-        "import os, sys\n"
-        f"flag = {str(flag_path)!r}\n"
-        "if not os.path.exists(flag):\n"
-        "    open(flag, 'w').close()\n"
-        f"    sys.exit({crash_code})\n"
-        "sys.exit(0)\n"
-    )
-    return [sys.executable, "-c", script]
-
-
-def drive_to_completion(supervisor, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    supervisor.poll()
-    while not supervisor.fleet_dead():
-        assert time.monotonic() < deadline, "fleet never settled"
-        time.sleep(0.02)
-        supervisor.poll()
-
-
-FAST_RESTARTS = BackoffPolicy(base=0.05, cap=0.1, jitter=(1.0, 1.0))
-
-
-class TestFleetSupervisor:
-    def test_crashed_worker_is_restarted_with_original_command(self, tmp_path):
-        supervisor = dispatch.FleetSupervisor(
-            [crash_once_command(tmp_path / "flag")],
-            max_restarts=2, backoff=FAST_RESTARTS,
-        )
-        supervisor.start()
-        drive_to_completion(supervisor)
-        (entry,) = supervisor.summary()
-        assert entry["restarts"] == 1
-        assert entry["exit_codes"] == [17, 0]
-        assert not entry["gave_up"]
-
-    def test_max_restarts_caps_a_crash_loop(self):
-        always_crash = [sys.executable, "-c", "import sys; sys.exit(9)"]
-        supervisor = dispatch.FleetSupervisor(
-            [always_crash], max_restarts=2, backoff=FAST_RESTARTS,
-        )
-        supervisor.start()
-        drive_to_completion(supervisor)
-        (entry,) = supervisor.summary()
-        assert entry["restarts"] == 2
-        assert entry["exit_codes"] == [9, 9, 9]
-        assert entry["gave_up"]
-
-    def test_usage_error_exit_is_never_restarted(self):
-        usage_error = [sys.executable, "-c", "import sys; sys.exit(2)"]
-        supervisor = dispatch.FleetSupervisor(
-            [usage_error], max_restarts=5, backoff=FAST_RESTARTS,
-        )
-        supervisor.start()
-        drive_to_completion(supervisor)
-        (entry,) = supervisor.summary()
-        assert entry["restarts"] == 0
-        assert entry["exit_codes"] == [2]
-        assert entry["gave_up"]
-
-    def test_benign_exits_are_not_restarted(self):
-        done = [sys.executable, "-c", "import sys; sys.exit(0)"]
-        idle = [sys.executable, "-c", "import sys; sys.exit(3)"]
-        supervisor = dispatch.FleetSupervisor(
-            [done, idle], max_restarts=5, backoff=FAST_RESTARTS,
-        )
-        supervisor.start()
-        drive_to_completion(supervisor)
-        first, second = supervisor.summary()
-        assert first["exit_codes"] == [0] and first["restarts"] == 0
-        assert second["exit_codes"] == [3] and second["restarts"] == 0
-        assert not first["gave_up"] and not second["gave_up"]
-
-    def test_terminate_cancels_pending_restarts(self):
-        crash = [sys.executable, "-c", "import sys; sys.exit(9)"]
-        supervisor = dispatch.FleetSupervisor(
-            [crash], max_restarts=5,
-            backoff=BackoffPolicy(base=30.0, cap=30.0, jitter=(1.0, 1.0)),
-        )
-        supervisor.start()
-        deadline = time.monotonic() + 10.0
-        while supervisor.total_restarts() == 0:
-            supervisor.poll()
-            (entry,) = supervisor.summary()
-            if entry["exit_codes"]:
-                break  # crash observed, restart scheduled 30s out
-            assert time.monotonic() < deadline
-            time.sleep(0.02)
-        supervisor.terminate()
-        assert supervisor.fleet_dead()
-        assert supervisor.total_restarts() == 0

@@ -65,6 +65,18 @@ class TestDistributedCoordinator:
 
         assert not get_store().persist
 
+    def test_distributed_mem_store_fails_fast(self, capsys, restore_store):
+        """mem:// was a per-process store that workers could never share;
+        it is now an unknown scheme, and both --workers and
+        --workers-external modes must refuse it up front as a usage error
+        instead of planning a grid no worker can see."""
+        for mode in (["--workers", "1"], ["--workers-external"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["table2", "--distributed", *mode,
+                      "--store", "mem://isolated"])
+            assert exc.value.code == 2
+            assert "unknown store URL scheme 'mem'" in capsys.readouterr().err
+
     def test_profile_store_url_selects_the_store(self, tmp_path,
                                                  restore_store, monkeypatch):
         """A profile's store_url field re-points the process store when no

@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from repro.evaluation.cross_validation import CVResult
-from repro.experiments.backends import LocalFSBackend
 from repro.experiments.store import (
     CODECS,
     CellStore,
-    ClaimHeartbeat,
     decode_envelope,
     encode_envelope,
     stable_key,
@@ -331,76 +329,6 @@ class TestClaimSelfHeal:
         assert store.disk_entries() == []
         store.clear_disk()
         assert store.claim_files() == []
-
-
-class FlakyRefreshStore:
-    """CellStore stand-in scripting ``refresh_claim`` outcomes."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)  # exceptions, True, or False
-        self.calls = 0
-
-    def refresh_claim(self, kind, key, owner):
-        self.calls += 1
-        outcome = self.outcomes.pop(0) if self.outcomes else True
-        if isinstance(outcome, BaseException):
-            raise outcome
-        return outcome
-
-
-class FlakyStampBackend(LocalFSBackend):
-    """Heartbeat writes fail with ``OSError`` while ``failing`` is set."""
-
-    failing = False
-
-    def stamp_mtime(self, name, data):
-        if self.failing:
-            raise OSError(5, "injected refresh failure")
-        super().stamp_mtime(name, data)
-
-
-def run_heartbeat(store, duration=0.5):
-    beat = ClaimHeartbeat(store, "cell", "k", "me", interval=0.02)
-    with beat:
-        time.sleep(duration)
-    return beat
-
-
-class TestClaimHeartbeat:
-    """A refresh error must not silently expire a live lease."""
-
-    def test_refresh_errors_do_not_kill_the_heartbeat(self):
-        store = FlakyRefreshStore([ConnectionError("blip")] * 3)
-        beat = run_heartbeat(store, duration=0.4)
-        assert beat.refresh_errors == 3
-        assert not beat.lost
-        assert store.calls > 3, "heartbeat must keep refreshing after blips"
-
-    def test_lost_lease_still_detected(self):
-        store = FlakyRefreshStore([True, False])
-        beat = run_heartbeat(store, duration=0.2)
-        assert beat.lost
-
-    def test_live_lease_restamped_after_real_outage(self, tmp_path):
-        """End-to-end over a real directory: failing refreshes must
-        neither kill the heartbeat nor silently expire the live lease —
-        the lease is re-stamped the moment writes succeed again."""
-        backend = FlakyStampBackend(tmp_path)
-        store = CellStore(backend, lease_ttl=30.0)
-        assert store.try_claim("cell", "k1", "me")
-        claim = store.claim_name("cell", "k1")
-        with ClaimHeartbeat(store, "cell", "k1", "me", interval=0.05) as beat:
-            time.sleep(0.12)
-            backend.failing = True
-            time.sleep(0.3)
-            backend.failing = False
-            recovered_at = time.time()
-            time.sleep(0.3)
-        assert beat.refresh_errors >= 1
-        assert not beat.lost
-        assert backend.mtime(claim) >= recovered_at - 0.25
-        # The lease is still exclusively ours.
-        assert not store.try_claim("cell", "k1", "intruder")
 
 
 class TestCodecs:

@@ -13,9 +13,12 @@ corrupt entries self-heal by deletion) and the polling cost budgets of
 the landed-set cache.
 """
 
+import os
+import tempfile
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ import pytest
 from repro.experiments.backends import LocalFSBackend, resolve_backend
 from repro.experiments.store import CellStore
 
+from tests.experiments.distributed_helpers import STORE_BACKENDS, store_target
 from tests.experiments.test_store import make_result
 
 
@@ -154,6 +158,21 @@ class TestLocalFSContract(BackendContract):
         assert backend.stray_spools() == []
 
 
+#: A RAM-backed filesystem (tmpfs), where the host has one.
+RAM_FS = "/dev/shm" if os.path.isdir("/dev/shm") else None
+
+
+class TestMemoryBucketContract(BackendContract):
+    """The same contract on a RAM-backed filesystem, where one host's
+    fleet can keep a fast store: tmpfs brings its own rename, ``O_EXCL``
+    and mtime code.  (The name dates from an in-memory bucket backend.)"""
+
+    @pytest.fixture
+    def backend(self):
+        with tempfile.TemporaryDirectory(dir=RAM_FS) as root:
+            yield LocalFSBackend(Path(root) / "store")
+
+
 # ----------------------------------------------------------------------
 # URL resolution
 # ----------------------------------------------------------------------
@@ -190,22 +209,23 @@ class TestResolveBackend:
 
 
 # ----------------------------------------------------------------------
-# CellStore with an injected clock
+# CellStore over every store kind: same protocol, same outcomes
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture
-def clocked_store(tmp_path):
+@pytest.fixture(params=STORE_BACKENDS)
+def clocked_store(request, tmp_path):
     # Based at real time: file mtimes come from the kernel clock, so the
     # injected clock must share its epoch (advancing it simulates the
     # passage of time against freshly written entries).
     clock = FakeClock(start=time.time())
-    store = CellStore(tmp_path / "store", clock=clock, lease_ttl=10.0)
+    target = store_target(request.param, tmp_path / "store")
+    store = CellStore(target, clock=clock, lease_ttl=10.0)
     store.test_clock = clock
     return store
 
 
-class TestCellStoreWithInjectedClock:
+class TestCellStoreOverBackends:
     def test_cell_round_trip_bit_identical(self, clocked_store):
         original = make_result(7)
         clocked_store.put("cell", "k", original)

@@ -6,22 +6,28 @@ recomputes the cell, and the final store is bit-identical to a serial run
 with no duplicate, torn or leftover entries.  Claims are an efficiency
 device — correctness never depends on them.
 
-The last scenario runs the same kill under the
-:class:`~repro.experiments.dispatch.FleetSupervisor`, which must restart
-the killed worker while parity holds.
+The SIGKILL scenarios and the torn-result heal run once per store kind
+in ``STORE_BACKENDS`` (today the directory store: ``O_EXCL`` claims and
+mtime leases): a crashed worker must be survivable wherever the store
+lives, so a backend that joins that tuple inherits these scenarios.
 """
 
 import os
 import signal
 import time
 
-from repro.backoff import BackoffPolicy
+import pytest
+
 from repro.experiments import dispatch, worker
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.store import CellStore
 
-from tests.experiments.distributed_helpers import spawn_worker, worker_env
+from tests.experiments.distributed_helpers import (
+    STORE_BACKENDS,
+    spawn_worker,
+    store_target,
+)
 
 #: Cells sized to take a tangible fraction of a second each, so SIGKILL
 #: reliably lands mid-computation (the claim poll below reacts within ms).
@@ -88,16 +94,18 @@ def kill_worker_mid_cell(target, victim):
         victim.wait()
 
 
-def test_sigkill_mid_cell_lease_expires_and_peer_recovers(tmp_path):
-    units = plan(tmp_path)
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_sigkill_mid_cell_lease_expires_and_peer_recovers(tmp_path, backend):
+    target = store_target(backend, tmp_path)
+    units = plan(target)
     victim = spawn_worker(
-        tmp_path, "--ttl", str(TTL), "--poll", "0.05", "--claim-order", "sorted"
+        target, "--ttl", str(TTL), "--poll", "0.05", "--claim-order", "sorted"
     )
-    kill_worker_mid_cell(tmp_path, victim)
+    kill_worker_mid_cell(target, victim)
     assert victim.returncode == -signal.SIGKILL
 
     # The orphaned claim survives the kill: the lease was NOT released …
-    store = CellStore(tmp_path, lease_ttl=TTL)
+    store = CellStore(target, lease_ttl=TTL)
     orphaned = store.claim_names()
     assert orphaned, "SIGKILL should leave the in-flight claim behind"
     orphan_key = None
@@ -111,31 +119,35 @@ def test_sigkill_mid_cell_lease_expires_and_peer_recovers(tmp_path):
     # A second worker completes the grid: it waits out the lease, reaps
     # it and recomputes the orphaned cell (plus everything still pending).
     stats = worker.worker_loop(
-        tmp_path, jobs=1, lease_ttl=TTL, poll=0.05, max_idle=120.0
+        target, jobs=1, lease_ttl=TTL, poll=0.05, max_idle=120.0
     )
     assert not stats["idle_timeout"]
     assert stats["reaped_claims"] >= 1, "stale lease was never reaped"
     assert stats["computed"] >= 1
-    assert_store_matches_serial(tmp_path, units)
+    assert_store_matches_serial(target, units)
 
 
-def test_sigkilled_grid_remains_bit_identical_with_two_survivors(tmp_path):
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_sigkilled_grid_remains_bit_identical_with_two_survivors(
+    tmp_path, backend
+):
     """Acceptance: parity holds when one worker of a fleet dies mid-grid."""
-    units = plan(tmp_path)
+    target = store_target(backend, tmp_path)
+    units = plan(target)
     victim = spawn_worker(
-        tmp_path, "--ttl", str(TTL), "--poll", "0.05", "--claim-order", "sorted"
+        target, "--ttl", str(TTL), "--poll", "0.05", "--claim-order", "sorted"
     )
-    kill_worker_mid_cell(tmp_path, victim)
+    kill_worker_mid_cell(target, victim)
 
     survivors = [
-        spawn_worker(tmp_path, "--ttl", str(TTL), "--poll", "0.05",
+        spawn_worker(target, "--ttl", str(TTL), "--poll", "0.05",
                      "--claim-order", order)
         for order in ("sorted", "reversed")
     ]
     for process in survivors:
         out, _ = process.communicate(timeout=300)
         assert process.returncode == 0, out
-    assert_store_matches_serial(tmp_path, units)
+    assert_store_matches_serial(target, units)
 
 
 def test_zero_byte_claim_does_not_deadlock_the_grid(tmp_path):
@@ -154,13 +166,15 @@ def test_zero_byte_claim_does_not_deadlock_the_grid(tmp_path):
     assert_store_matches_serial(str(tmp_path), units)
 
 
-def test_torn_result_heals_and_recomputes(tmp_path):
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_torn_result_heals_and_recomputes(tmp_path, backend):
     """A partially-written or bit-rotted result entry is dropped and
     recomputed, never served."""
-    units = plan(tmp_path)
-    stats = worker.worker_loop(tmp_path, jobs=1, lease_ttl=TTL, max_idle=60.0)
+    target = store_target(backend, tmp_path)
+    units = plan(target)
+    stats = worker.worker_loop(target, jobs=1, lease_ttl=TTL, max_idle=60.0)
     assert stats["computed"] == len(units)
-    store = CellStore(tmp_path, lease_ttl=TTL)
+    store = CellStore(target, lease_ttl=TTL)
     # The worker pruned the consumed manifest on its way out.
     assert not [n for n in store.backend.list() if n.endswith(".plan")]
     store.backend.put_atomic(
@@ -169,67 +183,9 @@ def test_torn_result_heals_and_recomputes(tmp_path):
 
     # A coordinator re-planning the same grid is idempotent; its workers
     # then find and heal the damage.
-    dispatch.write_manifest(tmp_path, FAULT_CFG, units)
+    dispatch.write_manifest(target, FAULT_CFG, units)
     heal_stats = worker.worker_loop(
-        tmp_path, jobs=1, lease_ttl=TTL, max_idle=60.0
+        target, jobs=1, lease_ttl=TTL, max_idle=60.0
     )
     assert heal_stats["computed"] == 1  # only the damaged cell reruns
-    assert_store_matches_serial(tmp_path, units)
-
-
-def test_supervisor_restarts_sigkilled_worker_and_grid_completes(tmp_path):
-    """Acceptance: SIGKILL one worker of a supervised fleet mid-grid;
-    the supervisor restarts it and parity holds."""
-    units = plan(tmp_path)
-    commands = [
-        dispatch.worker_command(
-            tmp_path, index, jobs=1, lease_ttl=TTL, stagger=3,
-            extra_args=["--poll", "0.05", "--max-idle", "60"],
-        )
-        for index in range(2)
-    ]
-    events = []
-    supervisor = dispatch.FleetSupervisor(
-        commands, max_restarts=2,
-        backoff=BackoffPolicy(base=0.05, cap=0.1, jitter=(1.0, 1.0)),
-        env=worker_env(), log=events.append,
-    )
-    supervisor.start()
-    store = CellStore(tmp_path, lease_ttl=TTL)
-    try:
-        deadline = time.monotonic() + 120
-        while not store.claim_names():
-            supervisor.poll()
-            assert not supervisor.fleet_dead(), "\n".join(events)
-            assert time.monotonic() < deadline, "no worker ever claimed"
-            time.sleep(0.005)
-        victim = supervisor.processes[0]
-        os.kill(victim.pid, signal.SIGKILL)
-        # Drive the supervisor until the restart is performed — a small
-        # grid can otherwise complete inside the backoff window and
-        # terminate() would cancel the pending respawn.
-        restart_deadline = time.monotonic() + 60.0
-        while supervisor.total_restarts() == 0:
-            assert time.monotonic() < restart_deadline, "\n".join(events)
-            supervisor.poll()
-            time.sleep(0.02)
-
-        dispatch.wait_for_grid(
-            store, units, poll=0.05, timeout=240,
-            should_abort=lambda: (supervisor.poll(),
-                                  supervisor.fleet_dead())[1],
-        )
-    finally:
-        supervisor.terminate()
-    assert supervisor.total_restarts() >= 1, "\n".join(events)
-    summary = supervisor.summary()
-    assert any(-signal.SIGKILL in s["exit_codes"] for s in summary)
-    assert not any(s["gave_up"] for s in summary), "\n".join(events)
-    # The killed worker's claim is an orphan, not a leak: it ages out by
-    # TTL.  Wait it out, then hold the full clean-store line.
-    deadline = time.monotonic() + 4 * TTL
-    while store.claim_names() or store.backend.stray_spools():
-        assert time.monotonic() < deadline, store.claim_names()
-        time.sleep(0.1)
-        store.reap_stale()
-    assert_store_matches_serial(tmp_path, units)
+    assert_store_matches_serial(target, units)

@@ -4,10 +4,11 @@ interleaving.
 
 Mirrors ``test_scheduler_parity.py`` one level up the stack: that suite
 pins the in-process pooled scheduler, this one pins the multi-process
-claim/lease path (``O_EXCL`` claims, mtime leases) — real worker
-processes splitting a Table-II subgrid through one shared store
-directory, plus an in-process sweep of the deterministic claim-order
-seam.
+claim/lease path — real worker processes splitting a Table-II subgrid
+through one shared store, plus an in-process sweep of the deterministic
+claim-order seam.  Every test runs once per store kind in
+``STORE_BACKENDS`` (today the directory store: ``O_EXCL`` claims, mtime
+leases), so a backend that joins that tuple inherits the whole suite.
 """
 
 import pytest
@@ -17,7 +18,11 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.store import CellStore
 
-from tests.experiments.distributed_helpers import spawn_worker
+from tests.experiments.distributed_helpers import (
+    STORE_BACKENDS,
+    spawn_worker,
+    store_target,
+)
 
 TINY = ExperimentConfig(
     name="tiny-dist",
@@ -51,64 +56,72 @@ def assert_store_bit_identical(target, units, serial):
     assert store.claim_names() == []
 
 
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
 @pytest.mark.parametrize("n_workers", [1, 2, 3])
-def test_worker_fleet_matches_serial(tmp_path, n_workers):
+def test_worker_fleet_matches_serial(tmp_path, n_workers, backend):
     """1, 2 and 3 concurrent worker processes over one shared store all
     produce float-for-float the serial results."""
     units, serial = units_and_serial()
-    dispatch.write_manifest(tmp_path, TINY, units)
+    target = store_target(backend, tmp_path)
+    dispatch.write_manifest(target, TINY, units)
     # Distinct claim orders maximise interleaving: workers start at
     # different grid offsets and meet in the middle.  Like run_all's
     # spawner, pass --plan-written: a worker still importing when its
     # peers finish and prune the grid must exit 0, not idle out.
     fleet = [
-        spawn_worker(tmp_path, "--poll", "0.05", "--plan-written",
+        spawn_worker(target, "--poll", "0.05", "--plan-written",
                      "--claim-order", f"rotate:{i * (len(units) // n_workers)}")
         for i in range(n_workers)
     ]
     for process in fleet:
         out, _ = process.communicate(timeout=300)
         assert process.returncode == 0, out
-    assert_store_bit_identical(tmp_path, units, serial)
+    assert_store_bit_identical(target, units, serial)
 
 
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
 @pytest.mark.parametrize("order", ["sorted", "reversed", "rotate:1", "rotate:5"])
-def test_any_claim_interleaving_matches_serial(tmp_path, order):
+def test_any_claim_interleaving_matches_serial(tmp_path, order, backend):
     """The claim-order seam (which permutes the order cells are claimed
     and computed in) must never influence any cell's bytes."""
     units, serial = units_and_serial()
-    dispatch.write_manifest(tmp_path, TINY, units)
+    target = store_target(backend, tmp_path)
+    dispatch.write_manifest(target, TINY, units)
     stats = worker.worker_loop(
-        tmp_path,
+        target,
         jobs=1,
         claim_order=worker.claim_order_from(order),
         max_idle=60.0,
     )
     assert stats["computed"] == len(units)
-    assert_store_bit_identical(tmp_path, units, serial)
+    assert_store_bit_identical(target, units, serial)
 
 
-def test_interrupted_grid_resumes_without_recomputation(tmp_path):
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_interrupted_grid_resumes_without_recomputation(tmp_path, backend):
     """A worker joining a half-finished grid computes only the remainder
     (the store is the checkpoint), and parity still holds."""
     units, serial = units_and_serial()
-    dispatch.write_manifest(tmp_path, TINY, units)
-    store = CellStore(tmp_path)
+    target = store_target(backend, tmp_path)
+    dispatch.write_manifest(target, TINY, units)
+    store = CellStore(target)
     half = len(units) // 2
     for unit, reference in zip(units[:half], serial[:half]):
         store.put("cell", unit.key, reference)
 
-    stats = worker.worker_loop(tmp_path, jobs=1, max_idle=60.0)
+    stats = worker.worker_loop(target, jobs=1, max_idle=60.0)
     assert stats["computed"] == len(units) - half
-    assert_store_bit_identical(tmp_path, units, serial)
+    assert_store_bit_identical(target, units, serial)
 
 
-def test_pooled_worker_matches_serial(tmp_path):
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_pooled_worker_matches_serial(tmp_path, backend):
     """--jobs > 1 inside a worker (folds fanned over its local pool)
     composes with the distributed layer without breaking parity."""
     units, serial = units_and_serial()
-    dispatch.write_manifest(tmp_path, TINY, units)
-    stats = worker.worker_loop(tmp_path, jobs=2, max_idle=120.0)
+    target = store_target(backend, tmp_path)
+    dispatch.write_manifest(target, TINY, units)
+    stats = worker.worker_loop(target, jobs=2, max_idle=120.0)
     assert stats["computed"] == len(units)
-    assert_store_bit_identical(tmp_path, units, serial)
+    assert_store_bit_identical(target, units, serial)
 
